@@ -24,10 +24,11 @@ int main(int argc, char** argv) {
     netlist::CellLibrary lib{6};
     const auto nl =
         workloads::generate(lib, workloads::iscas85_profile(name), suite.seed);
-    const auto flow = bench::iscas_flow(suite.seed);
+    const auto flow = sweep::task_flow(name, sweep::Workload::Iscas85,
+                                       suite.seed, suite.scale);
 
     const auto original = core::layout_original(nl, flow);
-    core::RandomizeOptions r = bench::default_randomize(suite.seed);
+    core::RandomizeOptions r = sweep::task_randomize(suite.seed);
     r.max_swaps = std::max<std::size_t>(4, nl.num_gates() / 40);
     const auto design =
         core::protect_with_budget(nl, r, flow, original.ppa, 20.0, 3);

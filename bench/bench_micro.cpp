@@ -124,15 +124,11 @@ void BM_Route(benchmark::State& state) {
   }
 }
 
-// Router throughput on a full placed netlist, one rig per scheduler.
-// RouteNets{,Jobs} pin the PR-5 round-based snapshot-commit scheduler
-// (RoutePartition::Rounds) so the two schedulers stay comparable across
-// releases; RoutePartitionTree{,Jobs} run the spatial partition tree with
-// live in-region congestion (the default). Within each scheduler, routes
-// are bit-identical for every jobs value (tests/test_route.cpp,
+// Router throughput on a full placed netlist under the spatial partition
+// tree. Routes are bit-identical for every jobs value (tests/test_route.cpp,
 // tests/test_partition_tree.cpp) — only the wall time moves. The fine
 // gcell and extra passes make negotiation do real rip-up work, which is
-// the stage both parallel schemes target.
+// the stage the tree parallelizes.
 struct RouteRig {
   netlist::Netlist nl;
   place::Placement pl;
@@ -150,13 +146,11 @@ struct RouteRig {
   }
 };
 
-void route_nets(benchmark::State& state, route::RoutePartition partition,
-                std::size_t jobs) {
+void route_nets(benchmark::State& state, std::size_t jobs) {
   const auto& rig = RouteRig::instance();
   route::RouterOptions opts;
   opts.gcell_um = 1.4;
   opts.passes = 4;
-  opts.partition = partition;
   opts.jobs = jobs;
   route::Router router(opts);
   for (auto _ : state) {
@@ -167,22 +161,10 @@ void route_nets(benchmark::State& state, route::RoutePartition partition,
                           static_cast<std::int64_t>(rig.tasks.size()));
 }
 
-void BM_RouteNets(benchmark::State& state) {
-  route_nets(state, route::RoutePartition::Rounds, 1);
-}
-
-void BM_RouteNetsJobs(benchmark::State& state) {
-  route_nets(state, route::RoutePartition::Rounds,
-             static_cast<std::size_t>(state.range(0)));
-}
-
-void BM_RoutePartitionTree(benchmark::State& state) {
-  route_nets(state, route::RoutePartition::Tree, 1);
-}
+void BM_RoutePartitionTree(benchmark::State& state) { route_nets(state, 1); }
 
 void BM_RoutePartitionTreeJobs(benchmark::State& state) {
-  route_nets(state, route::RoutePartition::Tree,
-             static_cast<std::size_t>(state.range(0)));
+  route_nets(state, static_cast<std::size_t>(state.range(0)));
 }
 
 void BM_ProximityAttack(benchmark::State& state) {
@@ -359,19 +341,17 @@ void BM_GridIndexKNearest(benchmark::State& state) {
 BENCHMARK(BM_Simulation64Patterns);
 BENCHMARK(BM_CompareOerHd);
 BENCHMARK(BM_CompareOerHdLanes)->Arg(1)->Arg(4)->Arg(8);
-BENCHMARK(BM_CompareThroughputJobs)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_CompareThroughputJobs)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 BENCHMARK(BM_CompareThroughputLanes)->Arg(1)->Arg(4)->Arg(8);
 BENCHMARK(BM_Randomize);
 BENCHMARK(BM_Place);
 BENCHMARK(BM_Route);
-BENCHMARK(BM_RouteNets)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RouteNetsJobs)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
 BENCHMARK(BM_RoutePartitionTree)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RoutePartitionTreeJobs)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ProximityAttack);
 BENCHMARK(BM_AttackCandidatesBrute)->Unit(benchmark::kMillisecond);
@@ -383,6 +363,7 @@ BENCHMARK(BM_AttackCandidatesIndexedJobs)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GridIndexKNearest)->Arg(1000)->Arg(100000);
 

@@ -27,11 +27,13 @@ int main(int argc, char** argv) {
     const auto spec = workloads::superblue_profile(names[i], suite.scale);
     netlist::CellLibrary lib{8};
     const auto nl = workloads::generate(lib, spec, suite.seed);
-    const auto flow =
-        bench::apply_layout_flags(bench::superblue_flow(suite.seed, spec), suite);
+    const auto flow = bench::apply_layout_flags(
+        sweep::task_flow(names[i], sweep::Workload::Superblue, suite.seed,
+                         suite.scale),
+        suite);
 
     const auto design =
-        core::protect(nl, bench::default_randomize(suite.seed), flow);
+        core::protect(nl, sweep::task_randomize(suite.seed), flow);
     const auto nets = design.ledger.protected_nets();
 
     const auto original = core::layout_original(nl, flow);

@@ -64,8 +64,10 @@ int main(int argc, char** argv) {
     netlist::CellLibrary lib{6};
     const auto nl = workloads::generate(
         lib, workloads::iscas85_profile(names[i]), suite.seed);
-    const auto flow =
-        bench::apply_layout_flags(bench::iscas_flow(suite.seed), suite);
+    const auto flow = bench::apply_layout_flags(
+        sweep::task_flow(names[i], sweep::Workload::Iscas85, suite.seed,
+                         suite.scale),
+        suite);
     PerBench& r = results[i];
 
     const auto original = core::layout_original(nl, flow);
@@ -88,7 +90,7 @@ int main(int argc, char** argv) {
     r.s_t2 = strategy_ccr(core::PerturbStrategy::GType2);
 
     const auto design =
-        core::protect(nl, bench::default_randomize(suite.seed), flow);
+        core::protect(nl, sweep::task_randomize(suite.seed), flow);
     r.sprop = attack_avg(design.erroneous, nl, design.layout, &design.ledger,
                          suite.patterns, true, suite.attack_jobs);
   });

@@ -60,8 +60,10 @@ int main(int argc, char** argv) {
     netlist::CellLibrary lib{6};
     const auto nl = workloads::generate(
         lib, workloads::iscas85_profile(names[i]), suite.seed);
-    const auto flow =
-        bench::apply_layout_flags(bench::iscas_flow(suite.seed), suite);
+    const auto flow = bench::apply_layout_flags(
+        sweep::task_flow(names[i], sweep::Workload::Iscas85, suite.seed,
+                         suite.scale),
+        suite);
     PerBench& r = results[i];
 
     const auto original = core::layout_original(nl, flow);
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
     r.srp = attack_avg(nl, nl, rperturb, nullptr, suite.patterns, false, suite.attack_jobs);
 
     const auto design =
-        core::protect(nl, bench::default_randomize(suite.seed), flow);
+        core::protect(nl, sweep::task_randomize(suite.seed), flow);
     r.sp = attack_avg(design.erroneous, nl, design.layout, &design.ledger,
                       suite.patterns, true, suite.attack_jobs);
   });

@@ -19,19 +19,12 @@
 //                   --jobs when sweeping many benchmarks and --attack-jobs
 //                   when drilling into one large instance — combining both
 //                   oversubscribes the machine.
-//   --route-jobs=<n>   worker threads inside each router run (negotiation
-//                   rounds shard their net re-routes); default 1, routes
+//   --route-jobs=<n>   worker threads inside each router run (partition
+//                   tree subtrees route concurrently); default 1, routes
 //                   bit-identical for any value. Same stacking caveat as
 //                   --attack-jobs.
 //   --route-passes=<n>   router rip-up-and-reroute rounds (default: the
 //                   suite tuning, currently 3)
-//   --route-partition=tree|rounds   router re-route scheduler: the spatial
-//                   partition tree with live in-region congestion (default)
-//                   or the legacy snapshot-commit rounds (changes which
-//                   layout is produced; each is deterministic on its own)
-//   --partition-depth=<n>   tree depth where the router's parallel tasks
-//                   fan out (default auto; pure scheduling — layouts are
-//                   bit-identical for every value)
 //   --detailed-passes=<n>  placer greedy-swap refinement sweeps (default:
 //                   the per-suite tuning, 2 ISCAS / 1 superblue)
 //
@@ -39,11 +32,16 @@
 //   currently wired into the table 1/4/5 benches — the remaining benches
 //   parse but ignore them (like --jobs on the serial benches; see
 //   docs/CLI.md for the wiring status).
+//
+//   The suite tuning itself is the sweep's flow recipe (sweep::task_flow /
+//   sweep::task_randomize), so the benches, sm_flow and the sweep lay out
+//   every instance identically.
 #pragma once
 
 #include "core/baselines.hpp"
 #include "core/protect.hpp"
 #include "core/split.hpp"
+#include "sweep/sweep.hpp"
 #include "util/args.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -66,15 +64,21 @@ struct SuiteOptions {
   std::size_t attack_jobs = 1;  ///< threads inside each proximity attack
   std::size_t route_jobs = 1;   ///< threads inside each router run
   std::size_t route_passes = 0; ///< router negotiation rounds; 0 = suite default
-  route::RoutePartition route_partition =
-      route::RoutePartition::Tree;  ///< re-route scheduler
-  int partition_depth = -1;     ///< tree fan-out depth; -1 = auto
   int detailed_passes = -1;     ///< placer refinement sweeps; -1 = suite default
   std::vector<std::string> only;  ///< benchmark filter (empty = all)
 };
 
 inline SuiteOptions parse_suite(int argc, const char* const* argv) {
   util::Args args(argc, argv);
+  // util::Args ignores unknown keys: without this check a script still
+  // selecting the retired rounds scheduler would silently get a different
+  // layout.
+  for (const char* removed : {"route-partition", "partition-depth"})
+    if (args.has(removed))
+      throw std::invalid_argument(
+          std::string("bench: --") + removed +
+          " was removed: the partition tree is the only router "
+          "scheduler and sets its own fan-out depth");
   SuiteOptions s;
   s.scale = args.get_double("scale", s.scale);
   s.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -89,12 +93,6 @@ inline SuiteOptions parse_suite(int argc, const char* const* argv) {
     if (s.route_passes == 0)
       throw std::invalid_argument("bench: --route-passes must be >= 1");
   }
-  if (args.has("route-partition"))
-    s.route_partition =
-        route::route_partition_from_string(args.get("route-partition", ""));
-  if (args.has("partition-depth"))
-    s.partition_depth =
-        static_cast<int>(args.get_count("partition-depth", 0));
   if (args.has("detailed-passes"))
     s.detailed_passes =
         static_cast<int>(args.get_count("detailed-passes", 0));
@@ -110,8 +108,6 @@ inline core::FlowOptions apply_layout_flags(core::FlowOptions f,
                                             const SuiteOptions& s) {
   if (s.route_passes > 0) f.router.passes = static_cast<int>(s.route_passes);
   f.router.jobs = s.route_jobs;
-  f.router.partition = s.route_partition;
-  f.router.partition_depth = s.partition_depth;
   if (s.detailed_passes >= 0) f.placer.detailed_passes = s.detailed_passes;
   return f;
 }
@@ -137,46 +133,11 @@ inline std::vector<std::string> pick(const std::vector<std::string>& all,
   return all;
 }
 
-/// Flow options for ISCAS-85 runs: correction pins in M6 (paper Sec. 5.1).
-inline core::FlowOptions iscas_flow(std::uint64_t seed) {
-  core::FlowOptions f;
-  f.lift_layer = 6;
-  f.seed = seed;
-  f.router.passes = 3;
-  f.placer.seed = seed;
-  f.placer.target_utilization = 0.45;  // congestion-free at our router
-  f.placer.detailed_passes = 2;
-  return f;
-}
-
-/// Flow options for superblue runs: correction pins in M8 (paper Sec. 5.1).
-/// The published utilizations are derated x0.5 so the substrate router stays
-/// congestion-free, mirroring the paper's "appropriate utilization rates".
-inline core::FlowOptions superblue_flow(std::uint64_t seed,
-                                        const workloads::GenSpec& spec) {
-  core::FlowOptions f;
-  f.lift_layer = 8;
-  f.seed = seed;
-  f.router.passes = 3;
-  f.placer.seed = seed;
-  f.placer.target_utilization = spec.utilization * 0.5;
-  f.placer.detailed_passes = 1;
-  return f;
-}
-
-inline core::RandomizeOptions default_randomize(std::uint64_t seed) {
-  core::RandomizeOptions r;
-  r.seed = seed;
-  r.target_oer = 0.995;
-  r.check_patterns = 4096;
-  return r;
-}
-
 inline void print_header(const char* what) {
   std::printf("\n==== %s ====\n", what);
   std::printf(
       "(synthetic benchmark clones; expect the paper's *shape*, not its "
-      "absolute numbers — see EXPERIMENTS.md)\n\n");
+      "absolute numbers)\n\n");
 }
 
 }  // namespace sm::bench

@@ -133,7 +133,9 @@ def fresh_micro(path):
     None if `path` is not one. Median aggregates (from
     --benchmark_repetitions) take precedence over raw iteration rows so a
     repeated run compares its medians, matching how BENCH_micro.json
-    entries were recorded."""
+    entries were recorded. The "/real_time" suffix google-benchmark adds
+    to UseRealTime rigs is dropped: the real_time column is what every
+    rig is compared on, so the baseline key is the bare rig name."""
     try:
         with open(path) as fh:
             fresh = json.load(fh)
@@ -157,7 +159,7 @@ def fresh_micro(path):
             rigs.setdefault(row.get("name"), time_ms)
     rigs.update(medians)
     rigs.pop(None, None)
-    return rigs
+    return {name.removesuffix("/real_time"): ms for name, ms in rigs.items()}
 
 
 def check_micro(fresh_rigs, baseline_rigs, factor):

@@ -1,6 +1,5 @@
 #include "cli/flow_common.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -8,6 +7,16 @@
 namespace sm::cli {
 
 FlowSetup parse_setup(const util::Args& args) {
+  // util::Args ignores unknown keys: without this check a script still
+  // selecting the retired rounds scheduler would silently get a different
+  // layout.
+  for (const char* removed : {"route-partition", "partition-depth"})
+    if (args.has(removed))
+      throw std::invalid_argument(
+          std::string("--") + removed +
+          " was removed: the partition tree is the only router "
+          "scheduler and sets its own fan-out depth");
+
   FlowSetup s;
   s.bench = args.get("bench", s.bench);
   s.scale = args.get_double("scale", s.scale);
@@ -15,63 +24,32 @@ FlowSetup parse_setup(const util::Args& args) {
   s.split_layer = static_cast<int>(args.get_int("split-layer", s.split_layer));
   s.patterns = static_cast<std::size_t>(
       args.get_int("patterns", static_cast<std::int64_t>(s.patterns)));
-  s.target_oer = args.get_double("target-oer", s.target_oer);
 
-  const auto& sb = workloads::superblue_names();
-  const auto& synth = workloads::synthetic_names();
-  const bool is_sb = std::find(sb.begin(), sb.end(), s.bench) != sb.end();
-  const bool is_synth =
-      std::find(synth.begin(), synth.end(), s.bench) != synth.end();
-  // Synthetic ladder benches take the superblue tuning: both are large flat
-  // designs routed with M8 pins and a derated utilization.
-  s.superblue = is_sb || is_synth;
-  s.spec = is_sb      ? workloads::superblue_profile(s.bench, s.scale)
-           : is_synth ? workloads::synthetic_profile(s.bench, s.scale)
-                      : workloads::iscas85_profile(s.bench);
-
-  // Same flow tuning the benches use (bench/common.hpp): M6 pins for ISCAS,
-  // M8 for superblue, utilization derated for a congestion-free router.
-  s.flow.seed = s.seed;
-  s.flow.placer.seed = s.seed;
-  if (s.superblue) {
-    s.flow.lift_layer = 8;
-    s.flow.placer.target_utilization = s.spec.utilization * 0.5;
-    s.flow.placer.detailed_passes = 1;
-  } else {
-    s.flow.lift_layer = 6;
-    s.flow.placer.target_utilization = 0.45;
-    s.flow.placer.detailed_passes = 2;
-  }
+  // The sweep's flow recipe, then only the CLI's own overrides.
+  const sweep::Workload workload = sweep::workload_of(s.bench);
+  s.spec = sweep::task_spec(s.bench, workload, s.scale);
+  s.flow = sweep::task_flow(s.bench, workload, s.seed, s.scale);
+  s.rand_opts = sweep::task_randomize(s.seed);
+  s.rand_opts.target_oer =
+      args.get_double("target-oer", s.rand_opts.target_oer);
   s.flow.lift_layer =
       static_cast<int>(args.get_int("lift-layer", s.flow.lift_layer));
-  s.flow.buffering = args.get_bool("buffering", false);
+  s.flow.buffering = args.get_bool("buffering", s.flow.buffering);
 
   // Layout-engine knobs, strictly validated like the sweep's numeric flags
-  // (get_count throws on anything but plain digits). --jobs shards the
-  // router's negotiation rounds — and, for attack/report, the attack
+  // (get_count throws on anything but plain digits). --jobs parallelizes
+  // the router's net re-routes — and, for attack/report, the attack
   // phases too; the phases run one after another, so this never stacks
   // thread pools. All results are bit-identical for any --jobs value.
   s.flow.router.jobs = args.get_count("jobs", 1);
-  // --route-partition=rounds falls back to the PR-5 snapshot-commit
-  // scheduler; --partition-depth caps the tree's parallel fan-out depth
-  // (scheduling only — routed layouts are identical for every value).
-  if (args.has("route-partition"))
-    s.flow.router.partition =
-        route::route_partition_from_string(args.get("route-partition", ""));
-  if (args.has("partition-depth"))
-    s.flow.router.partition_depth =
-        static_cast<int>(args.get_count("partition-depth", 0));
-  const std::size_t route_passes = args.get_count("route-passes", 3);
+  const std::size_t route_passes = args.get_count(
+      "route-passes", static_cast<std::size_t>(s.flow.router.passes));
   if (route_passes == 0)
     throw std::invalid_argument("--route-passes must be >= 1");
   s.flow.router.passes = static_cast<int>(route_passes);
   if (args.has("detailed-passes"))
     s.flow.placer.detailed_passes =
         static_cast<int>(args.get_count("detailed-passes", 0));
-
-  s.rand_opts.seed = s.seed;
-  s.rand_opts.target_oer = s.target_oer;
-  s.rand_opts.check_patterns = 4096;
   return s;
 }
 

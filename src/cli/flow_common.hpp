@@ -7,6 +7,7 @@
 #include "core/protect.hpp"
 #include "core/split.hpp"
 #include "netlist/netlist.hpp"
+#include "sweep/sweep.hpp"
 #include "util/args.hpp"
 #include "workloads/generator.hpp"
 
@@ -18,15 +19,13 @@ namespace sm::cli {
 /// Options every subcommand understands (parsed from util::Args).
 struct FlowSetup {
   std::string bench = "c880";
-  bool superblue = false;     ///< bench is a superblue profile
-  double scale = 0.02;        ///< superblue clone scale
+  double scale = 0.02;        ///< superblue/synthetic clone scale
   std::uint64_t seed = 1;
   int split_layer = 4;
   std::size_t patterns = 100000;  ///< simulation patterns for OER/HD
-  double target_oer = 0.995;
   workloads::GenSpec spec;
-  core::FlowOptions flow;
-  core::RandomizeOptions rand_opts;
+  core::FlowOptions flow;             ///< sweep::task_flow + CLI overrides
+  core::RandomizeOptions rand_opts;   ///< sweep::task_randomize + --target-oer
 };
 
 /// Parse the common options and resolve the benchmark profile. Throws

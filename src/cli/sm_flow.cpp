@@ -126,14 +126,9 @@ int usage(std::FILE* to) {
       "  --patterns=N     simulation patterns for OER/HD (default 100000)\n"
       "  --target-oer=F   randomization stop threshold (default 0.995)\n"
       "  --buffering      enable post-placement drive-strength fixing\n"
-      "  --jobs=N         worker threads (router rounds; attack phases for\n"
-      "                   attack/report; sweep tasks). 0 = hardware\n"
+      "  --jobs=N         worker threads (router re-routes; attack phases\n"
+      "                   for attack/report; sweep tasks). 0 = hardware\n"
       "  --route-passes=N router rip-up-and-reroute rounds (default 3)\n"
-      "  --route-partition=tree|rounds  router re-route scheduler: spatial\n"
-      "                   partition tree with live in-region congestion\n"
-      "                   (default) or the legacy snapshot-commit rounds\n"
-      "  --partition-depth=N  tree depth where parallel tasks fan out\n"
-      "                   (default auto; never changes the layout)\n"
       "  --detailed-passes=N  placer refinement sweeps (default M6 2, M8 1)\n",
       to);
   return to == stderr ? 2 : 0;

@@ -20,9 +20,9 @@
 // the crossing nets serialize after them — over both axes.
 //
 // Determinism: the tree is a pure function of (bounds, nets, limits). It
-// never looks at thread counts, and the router's schedule knobs
-// (RouterOptions::jobs, partition_depth) never reach the builder — which is
-// what keeps routed layouts byte-identical across all of them
+// never looks at thread counts, and the router's schedule (RouterOptions::
+// jobs and the fan-out depth derived from it) never reaches the builder —
+// which is what keeps routed layouts byte-identical across all of them
 // (tests/test_partition_tree.cpp, tests/test_route.cpp).
 #pragma once
 

@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 namespace sm::route {
@@ -28,17 +27,6 @@ std::uint64_t RoutingStats::total_vias() const {
   std::uint64_t s = 0;
   for (const auto v : vias) s += v;
   return s;
-}
-
-const char* to_string(RoutePartition p) {
-  return p == RoutePartition::Tree ? "tree" : "rounds";
-}
-
-RoutePartition route_partition_from_string(const std::string& name) {
-  if (name == "tree") return RoutePartition::Tree;
-  if (name == "rounds") return RoutePartition::Rounds;
-  throw std::invalid_argument("route: unknown partition scheme '" + name +
-                              "' (want tree|rounds)");
 }
 
 std::vector<RouteTask> make_tasks(const netlist::Netlist& nl,
@@ -86,11 +74,12 @@ namespace {
 
 /// Round-shared congestion state: committed usage, negotiation history,
 /// blockages, per-layer capacities, and the PathFinder pressure schedule.
-/// During a round's parallel re-route phase it is strictly read-only (the
-/// snapshot every Searcher prices against); all mutation — the greedy keep
-/// selection, usage commits, history bumps — happens single-threaded
-/// between rounds. That snapshot-commit discipline is what makes the
-/// router's output independent of RouterOptions::jobs.
+/// During a round's re-route phase only usage changes: each net commits
+/// its own nodes as soon as it is routed, and concurrently routed nets sit
+/// in sibling partition-tree regions, so their reads and writes never
+/// overlap. Everything else — the greedy keep selection, history bumps,
+/// pressure — happens single-threaded between rounds. That discipline is
+/// what makes the router's output independent of RouterOptions::jobs.
 class CongestionState {
  public:
   CongestionState(const RouteGrid& grid, const MetalStack& stack,
@@ -171,11 +160,11 @@ class CongestionState {
 };
 
 /// Per-worker A* search state with epoch-stamped arrays, so repeated
-/// searches cost O(visited), not O(grid). Reads the round's frozen
-/// CongestionState and never writes it. Which worker's Searcher routes
-/// which net is scheduling-dependent but provably irrelevant: every search
-/// bumps its epoch first, so no state of any previous search (on this or
-/// any other net) is ever read.
+/// searches cost O(visited), not O(grid). Reads the live CongestionState
+/// inside its window and never writes it (the caller commits). Which
+/// worker's Searcher routes which net is scheduling-dependent but provably
+/// irrelevant: every search bumps its epoch first, so no state of any
+/// previous search (on this or any other net) is ever read.
 class Searcher {
  public:
   Searcher(const RouteGrid& grid, const MetalStack& stack,
@@ -212,8 +201,8 @@ class Searcher {
   /// Clip every subsequent search to the lateral window `w` (layers stay
   /// unrestricted — via stacks and lifted wiring need them all). The tree
   /// scheduler sets each net's own inflated bbox here; that containment is
-  /// what makes sibling subtrees non-interacting. Rounds mode never calls
-  /// this and keeps the constructor's full-grid window.
+  /// what makes sibling subtrees non-interacting. The serial full-grid
+  /// retry of nets that failed inside their window resets it to the grid.
   void set_window(const util::GridRect& w) {
     wx0_ = w.x0;
     wy0_ = w.y0;
@@ -443,10 +432,9 @@ struct TaskState {
   NetRoute route;
 };
 
-/// Route one net against the round's frozen congestion snapshot. Writes
-/// only `st` (the committed usage is untouched — the caller commits whole
-/// rounds in fixed net order), so any number of these can run concurrently
-/// on distinct nets.
+/// Route one net against the current congestion. Writes only `st` (the
+/// caller commits its nodes to the usage), so any number of these can run
+/// concurrently on nets whose search windows do not overlap.
 void route_net(const RouteGrid& grid, const RouteTask& task, Searcher& s,
                TaskState& st) {
   st.route = NetRoute{};
@@ -558,72 +546,39 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
   if (jobs > 1 && tasks.size() > 1) pool.emplace(jobs);
   SearcherPool searchers(grid, stack, opts_, cong);
 
-  // Rounds scheduler (escape hatch): route `ripped` (already in commit
-  // order) chunk by chunk — the nets of one chunk route in parallel against
-  // the usage committed by all earlier chunks (plus the kept nets), then
-  // commit in order before the next chunk starts. The chunk partition
-  // depends only on the net count — never on jobs — so results stay
-  // bit-identical for any worker count.
-  auto route_rounds_batch = [&](const std::vector<std::size_t>& ripped) {
-    const std::size_t chunk = std::max<std::size_t>(16, ripped.size() / 64);
-    for (std::size_t begin = 0; begin < ripped.size(); begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, ripped.size());
-      auto run_one = [&](std::size_t k) {
-        const std::size_t ti = ripped[begin + k];
-        auto s = searchers.acquire();
-        s->set_net(util::task_seed(opts_.seed, ti));
-        route_net(grid, tasks[ti], *s, state[ti]);
-        searchers.release(std::move(s));
-      };
-      if (pool && end - begin > 1)
-        pool->parallel_for(end - begin, run_one);
-      else
-        for (std::size_t k = 0; k < end - begin; ++k) run_one(k);
-      // Commit this chunk in fixed net order.
-      for (std::size_t k = begin; k < end; ++k)
-        for (const auto nidx : state[ripped[k]].nodes) cong.add_usage(nidx, 1);
-    }
-  };
-
-  // Tree scheduler: per-net clipped search windows (terminal bbox +
-  // bbox_margin, a property of the *problem*, computed once up front) and
-  // a work estimate for cutline balancing.
+  // Per-net clipped search windows (terminal bbox + bbox_margin, a
+  // property of the *problem*, computed once up front) and a work estimate
+  // for cutline balancing.
   const util::GridRect grid_rect{0, 0, grid.nx() - 1, grid.ny() - 1};
-  std::vector<util::GridRect> window;
-  std::vector<std::uint64_t> work;
-  if (opts_.partition == RoutePartition::Tree) {
-    window.resize(tasks.size());
-    work.resize(tasks.size());
-    const std::int32_t margin =
-        static_cast<std::int32_t>(std::max(0, opts_.bbox_margin));
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      util::GridRect b;
-      for (const auto& term : tasks[i].terminals) {
-        const GridPoint g = grid.snap(term.pos, term.layer);
-        b.expand(g.x, g.y);
-      }
-      if (b.empty()) b = util::GridRect::around(0, 0);
-      // A* cost scales with the connection count and the bbox span.
-      work[i] =
-          (static_cast<std::uint64_t>(b.half_perimeter()) + 1) *
-          std::max<std::uint64_t>(
-              1, static_cast<std::uint64_t>(tasks[i].terminals.size()) - 1);
-      window[i] = b.inflated(margin).clamped(grid_rect);
+  std::vector<util::GridRect> window(tasks.size());
+  std::vector<std::uint64_t> work(tasks.size());
+  const std::int32_t margin =
+      static_cast<std::int32_t>(std::max(0, opts_.bbox_margin));
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    util::GridRect b;
+    for (const auto& term : tasks[i].terminals) {
+      const GridPoint g = grid.snap(term.pos, term.layer);
+      b.expand(g.x, g.y);
     }
+    if (b.empty()) b = util::GridRect::around(0, 0);
+    // A* cost scales with the connection count and the bbox span.
+    work[i] = (static_cast<std::uint64_t>(b.half_perimeter()) + 1) *
+              std::max<std::uint64_t>(
+                  1, static_cast<std::uint64_t>(tasks[i].terminals.size()) - 1);
+    window[i] = b.inflated(margin).clamped(grid_rect);
   }
 
-  // Tree depth at which parallel tasks fan out. Pure scheduling: any value
-  // yields the same routes (see run_subtree's order argument below).
+  // Tree depth at which parallel tasks fan out: deep enough for ~4 tasks
+  // per worker, clamped to the tree's own depth. Pure scheduling: any
+  // depth yields the same routes (see run_subtree's order argument below).
   auto spawn_depth = [&](int tree_depth) {
-    if (opts_.partition_depth >= 0)
-      return std::min(opts_.partition_depth, tree_depth);
-    int d = 0;  // auto: fan out until ~4 tasks per worker are possible
+    int d = 0;
     while (d < tree_depth && (std::size_t{1} << d) < 4 * jobs) ++d;
     return d;
   };
 
-  // Route one net inside its window and commit immediately: Tree mode's
-  // *live* congestion. Safe concurrently across sibling subtrees — a net
+  // Route one net inside its window and commit immediately: *live*
+  // congestion. Safe concurrently across sibling subtrees — a net
   // reads and writes usage only inside its own window, which the tree
   // keeps inside its node's region, and sibling regions are disjoint.
   auto route_one_live = [&](std::size_t ti, Searcher& s) {
@@ -641,8 +596,8 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
   // (a) routes each node's nets in their fixed stored order and (b)
   // finishes both child subtrees before the node's own cutline-crossing
   // nets therefore produces identical routes — sequential post-order,
-  // level-synchronous parallel, and every partition_depth in between.
-  auto route_tree_batch = [&](const std::vector<std::size_t>& ripped) {
+  // level-synchronous parallel, and every fan-out depth in between.
+  auto route_batch = [&](const std::vector<std::size_t>& ripped) {
     if (ripped.empty()) return;
     std::vector<PartitionNet> pnets;
     pnets.reserve(ripped.size());
@@ -706,7 +661,7 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
 
     // Clipping can make a routable net fail (a forced detour past the
     // margin). Retry those serially with the full grid, in fixed net order
-    // after everything else committed — same schedule for any jobs/depth.
+    // after everything else committed — same schedule for any jobs.
     bool any_failed = false;
     for (const auto ti : ripped) any_failed |= !state[ti].route.success;
     if (any_failed) {
@@ -723,23 +678,16 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
     }
   };
 
-  auto route_batch = [&](const std::vector<std::size_t>& ripped) {
-    if (opts_.partition == RoutePartition::Tree)
-      route_tree_batch(ripped);
-    else
-      route_rounds_batch(ripped);
-  };
-
   // Round 0: route everything.
   std::vector<std::size_t> ripped = order;
   route_batch(ripped);
 
-  // Negotiated congestion, snapshot-commit style: keep nets greedily up to
-  // each node's capacity (in commit order), rip the excess, re-route the
-  // ripped nets in parallel against the kept usage + bumped history, commit,
-  // repeat. Unlike rip-everything-overflowing, the kept nets pin the tracks
-  // they legally fill, so re-routed nets see full tracks as expensive and
-  // spread instead of oscillating in lockstep.
+  // Negotiated congestion: keep nets greedily up to each node's capacity
+  // (in commit order), rip the excess, re-route the ripped nets through the
+  // partition tree against the kept usage + bumped history, repeat. Unlike
+  // rip-everything-overflowing, the kept nets pin the tracks they legally
+  // fill, so re-routed nets see full tracks as expensive and spread instead
+  // of oscillating in lockstep.
   for (int pass = 1; pass < opts_.passes; ++pass) {
     if (cong.count_overflow() == 0) break;
     cong.bump_history();

@@ -16,35 +16,26 @@
 //
 // Negotiation is round-based: every round selects the nets to rip up
 // (greedy keep-up-to-capacity in a fixed net order) and re-routes them over
-// a util::ThreadPool. Two re-route schedulers exist (RouterOptions::
-// partition):
+// a util::ThreadPool, scheduled by a ParaDRo-style spatial partition tree
+// over the ripped nets' search windows (route/partition_tree.hpp). Each
+// net's A* is clipped to its terminal bbox inflated by bbox_margin; the net
+// lands at the deepest tree node whose region contains that window. Sibling
+// subtrees route *concurrently against live congestion* — a net only
+// touches usage inside its own window, sibling regions are disjoint, so no
+// interleaving of sibling work is observable. Within a node, nets route and
+// commit one by one in the fixed net order; a node's own (cutline-crossing)
+// nets route only after both child subtrees finished. Nets that fail inside
+// their clipped window re-route serially at the root with the full grid
+// after the tree pass. The only net pairs whose windows overlap are
+// same-node or ancestor/descendant pairs, and the tree order fixes both —
+// so routes are bit-identical for every `jobs`, and so for every depth at
+// which the parallel tasks fan out (the tree itself is a pure function of
+// nets + grid).
 //
-//   Tree (default) — a ParaDRo-style spatial partition tree over the
-//   ripped nets' search windows (route/partition_tree.hpp). Each net's A*
-//   is clipped to its terminal bbox inflated by bbox_margin; the net lands
-//   at the deepest tree node whose region contains that window. Sibling
-//   subtrees route *concurrently against live congestion* — a net only
-//   touches usage inside its own window, sibling regions are disjoint, so
-//   no interleaving of sibling work is observable. Within a node, nets
-//   route and commit one by one in the fixed net order; a node's own
-//   (cutline-crossing) nets route only after both child subtrees finished.
-//   Nets that fail inside their clipped window re-route serially at the
-//   root with the full grid after the tree pass. The only net pairs whose
-//   windows overlap are same-node or ancestor/descendant pairs, and the
-//   tree order fixes both — so routes are bit-identical for every `jobs`
-//   AND every `partition_depth` (the depth only caps where parallel tasks
-//   fan out; the tree itself is a pure function of nets + grid).
-//
-//   Rounds (escape hatch, --route-partition=rounds) — the former
-//   snapshot-commit scheme: ripped nets re-route in fixed-size chunks
-//   against the frozen usage/history committed so far, then commit in
-//   fixed order before the next chunk starts.
-//
-// Both schedulers draw each net's cost-tie jitter from its own
-// util::task_seed stream and lease epoch-stamped per-worker Searchers, so
-// which thread routes which net never leaks into results
-// (tests/test_route.cpp and tests/test_partition_tree.cpp hold the
-// bit-identity as regressions).
+// Each net draws its cost-tie jitter from its own util::task_seed stream
+// and leases an epoch-stamped per-worker Searcher, so which thread routes
+// which net never leaks into results (tests/test_route.cpp and
+// tests/test_partition_tree.cpp hold the bit-identity as regressions).
 #pragma once
 
 #include "netlist/netlist.hpp"
@@ -54,7 +45,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace sm::route {
@@ -113,17 +103,6 @@ struct Blockage {
   int max_layer = 10;
 };
 
-/// Scheduler for a negotiation round's net re-routes (header comment above).
-enum class RoutePartition {
-  Tree,    ///< spatial partition tree, live in-region congestion (default)
-  Rounds,  ///< legacy snapshot-commit chunks against frozen congestion
-};
-
-/// Parse "tree"/"rounds" (std::invalid_argument otherwise) — the CLI and
-/// bench --route-partition flags share this validated path.
-RoutePartition route_partition_from_string(const std::string& name);
-const char* to_string(RoutePartition p);
-
 struct RouterOptions {
   double gcell_um = 2.8;
   int passes = 3;            ///< rip-up & re-route rounds (>= 1)
@@ -140,22 +119,12 @@ struct RouterOptions {
   double tie_jitter = 0.05;
   std::uint64_t seed = 1;
   /// Worker threads for each round's net re-routes; 0 = hardware
-  /// concurrency. Routes are bit-identical for every value.
+  /// concurrency. The partition tree's parallel tasks fan out deep enough
+  /// for ~4 per worker. Routes are bit-identical for every value.
   std::size_t jobs = 1;
-  /// Re-route scheduler (header comment). Tree changes which routes are
-  /// produced vs Rounds (live instead of frozen congestion, clipped
-  /// searches) — both are individually deterministic.
-  RoutePartition partition = RoutePartition::Tree;
-  /// Tree depth at which parallel tasks fan out: below it, whole subtrees
-  /// run as one sequential task (coarser tasks, fewer barriers); above it,
-  /// each tree level is a parallel batch. Scheduling granularity ONLY —
-  /// never changes routes. < 0 = auto (enough fan-out for ~4 tasks per
-  /// worker, clamped to the tree's own depth, which the grid extent and
-  /// net spread bound).
-  int partition_depth = -1;
   /// Gcells added on every side of a net's terminal bbox to form its
-  /// clipped search window under Tree (detour headroom). Affects routes
-  /// (it is part of the problem, not the schedule).
+  /// clipped search window (detour headroom). Affects routes (it is part
+  /// of the problem, not the schedule).
   int bbox_margin = 8;
   std::vector<Blockage> blockages;
 };

@@ -17,7 +17,7 @@
 // patterns, scale, flow options via core::canonical_flow_json, randomize
 // options for protected cells, baseline recipe constants for baseline
 // defenses). Anything that can change a metric is in the hash;
-// scheduling knobs (jobs, partition_depth, shard assignment) and wall
+// scheduling knobs (jobs, router jobs, shard assignment) and wall
 // time are NOT — two runs differing only in those resolve to the same
 // cell. tests/test_store.cpp pins golden hashes across releases.
 //

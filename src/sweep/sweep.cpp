@@ -90,19 +90,10 @@ void run_task(const Task& t, const Grid& grid, const Options& opts,
               core::LayoutCache& cache, Row* rows,
               const std::vector<char>& compute, const CellCallback& on_cell) {
   const double t0 = now_ms();
-  const auto spec = [&] {
-    switch (t.workload) {
-      case Workload::Superblue:
-        return workloads::superblue_profile(t.benchmark, grid.scale);
-      case Workload::Synthetic:
-        return workloads::synthetic_profile(t.benchmark, grid.scale);
-      case Workload::Iscas85:
-        break;
-    }
-    return workloads::iscas85_profile(t.benchmark);
-  }();
-  const auto& nl = cache.netlist(
-      t.cache_key, [&] { return workloads::generate(lib, spec, t.seed); });
+  const auto& nl = cache.netlist(t.cache_key, [&] {
+    return workloads::generate(
+        lib, task_spec(t.benchmark, t.workload, grid.scale), t.seed);
+  });
   auto flow = task_flow(t.benchmark, t.workload, t.seed, grid.scale);
   // Scheduling only — applied outside task_flow so the config hash (which
   // digests task_flow's output) can never cover it.
@@ -283,34 +274,28 @@ std::uint64_t parse_u64(const std::string& s, const char* what) {
 
 core::FlowOptions task_flow(const std::string& benchmark, Workload workload,
                             std::uint64_t seed, double scale) {
-  // Same flow tuning the benches and sm_flow use: M6 correction pins for
-  // ISCAS, M8 for superblue and the large synthetic clones, utilization
-  // derated so the router stays congestion-free (bench/common.hpp is the
-  // reference). Scheduling knobs (router jobs/partition_depth) are NOT set
-  // here — the run loop applies them after hashing, see run_task.
+  // Correction pins in M6 for ISCAS, M8 for superblue and the large
+  // synthetic clones (paper Sec. 5.1). Large designs derate the published
+  // utilization x0.5 so the router stays congestion-free, mirroring the
+  // paper's "appropriate utilization rates". Scheduling knobs (router
+  // jobs) are NOT set here — the run loop applies them after hashing, see
+  // run_task.
   core::FlowOptions f;
   f.seed = seed;
   f.router.passes = 3;
   f.placer.seed = seed;
   switch (workload) {
-    case Workload::Superblue: {
-      const auto spec = workloads::superblue_profile(benchmark, scale);
-      f.lift_layer = 8;
-      f.placer.target_utilization = spec.utilization * 0.5;
-      f.placer.detailed_passes = 1;
-      break;
-    }
-    case Workload::Synthetic: {
-      const auto spec = workloads::synthetic_profile(benchmark, scale);
-      f.lift_layer = 8;
-      f.placer.target_utilization = spec.utilization * 0.5;
-      f.placer.detailed_passes = 1;
-      break;
-    }
     case Workload::Iscas85:
       f.lift_layer = 6;
       f.placer.target_utilization = 0.45;
       f.placer.detailed_passes = 2;
+      break;
+    case Workload::Superblue:
+    case Workload::Synthetic:
+      f.lift_layer = 8;
+      f.placer.target_utilization =
+          task_spec(benchmark, workload, scale).utilization * 0.5;
+      f.placer.detailed_passes = 1;
       break;
   }
   return f;
@@ -419,6 +404,29 @@ const char* to_string(Workload w) {
     case Workload::Synthetic: return "synthetic";
   }
   return "iscas85";
+}
+
+Workload workload_of(const std::string& name) {
+  auto in = [&](const std::vector<std::string>& names) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  if (in(workloads::superblue_names())) return Workload::Superblue;
+  if (in(workloads::synthetic_names())) return Workload::Synthetic;
+  if (in(workloads::iscas85_names())) return Workload::Iscas85;
+  throw std::invalid_argument("sweep: unknown benchmark '" + name + "'");
+}
+
+workloads::GenSpec task_spec(const std::string& benchmark, Workload workload,
+                             double scale) {
+  switch (workload) {
+    case Workload::Superblue:
+      return workloads::superblue_profile(benchmark, scale);
+    case Workload::Synthetic:
+      return workloads::synthetic_profile(benchmark, scale);
+    case Workload::Iscas85:
+      break;
+  }
+  return workloads::iscas85_profile(benchmark);
 }
 
 std::size_t Grid::combinations() const {

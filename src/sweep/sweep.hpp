@@ -49,6 +49,7 @@
 
 #include "core/pipeline.hpp"
 #include "util/table.hpp"
+#include "workloads/generator.hpp"
 
 #include <cstddef>
 #include <cstdint>
@@ -120,6 +121,10 @@ enum class Workload {
 };
 
 const char* to_string(Workload w);
+/// The workload whose name list (workloads::superblue_names,
+/// synthetic_names, iscas85_names) holds `name`. Throws
+/// std::invalid_argument for unknown names.
+Workload workload_of(const std::string& name);
 
 /// The cross product a sweep evaluates. Benchmarks may mix ISCAS-85,
 /// superblue (`scale` applies), and synthetic workload-generator names.
@@ -173,13 +178,18 @@ struct Options {
   std::size_t shard_count = 1;
 };
 
-/// The exact FlowOptions / RandomizeOptions every sweep cell of
-/// (benchmark, seed) uses — also the recipe the store's config hash covers
-/// (core::canonical_flow_json). Scheduling knobs (router jobs) are applied
-/// separately by the run loop and excluded from the hash.
+/// The flow recipe: the exact FlowOptions / RandomizeOptions every sweep
+/// cell of (benchmark, seed) uses, and the one definition sm_flow and the
+/// paper benches start from — also the recipe the store's config hash
+/// covers (core::canonical_flow_json). Scheduling knobs (router jobs) are
+/// applied separately by the run loop and excluded from the hash.
 core::FlowOptions task_flow(const std::string& benchmark, Workload workload,
                             std::uint64_t seed, double scale);
 core::RandomizeOptions task_randomize(std::uint64_t seed);
+/// The generator spec of `benchmark`; `scale` applies to superblue and
+/// synthetic workloads only.
+workloads::GenSpec task_spec(const std::string& benchmark, Workload workload,
+                             double scale);
 
 /// One evaluated grid cell. The metric columns are attacker-polymorphic:
 ///  - proximity: CCR / CCR-protected / OER / HD / open_sinks as before;

@@ -26,7 +26,7 @@ class AttackTest : public ::testing::Test {
     return workloads::generate(lib, workloads::iscas85_profile(name), seed);
   }
   FlowOptions flow() const {
-    // Mirror the bench harness setup (bench/common.hpp iscas_flow).
+    // The ISCAS tuning of sweep::task_flow, seeds left at their defaults.
     FlowOptions f;
     f.lift_layer = 6;
     f.router.passes = 3;

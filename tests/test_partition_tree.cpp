@@ -1,8 +1,8 @@
 // Partition-tree tests: cutline balance on skewed net distributions,
 // disjointness/containment of the spatial assignment, crossing nets at
 // branch nodes, and the router-level guarantee the tree exists for —
-// routed layouts byte-identical across every (jobs, partition_depth)
-// combination, with the rounds escape hatch keeping its own identity.
+// routed layouts byte-identical for every jobs value, and so for every
+// fan-out depth the scheduler derives from it.
 #include "place/placer.hpp"
 #include "route/partition_tree.hpp"
 #include "route/router.hpp"
@@ -193,9 +193,9 @@ void expect_identical_routing(const RoutingResult& a, const RoutingResult& b) {
   EXPECT_EQ(a.stats.overflowed_gcells, b.stats.overflowed_gcells);
 }
 
-// The tentpole guarantee: with the tree scheduler, routed layouts are
-// byte-identical across every jobs × partition_depth combination — jobs
-// and the fan-out depth are pure scheduling knobs.
+// The tentpole guarantee: routed layouts are byte-identical for every jobs
+// value. The auto fan-out depth grows with jobs (3/4/4/5 for 2/3/4/8
+// workers, clamped by the tree), so several depths meet the serial run.
 TEST(PartitionRouteTest, JobsAndDepthDoNotChangeRoutes) {
   CellLibrary lib;
   const auto nl = sm::workloads::generate(
@@ -207,24 +207,16 @@ TEST(PartitionRouteTest, JobsAndDepthDoNotChangeRoutes) {
   RouterOptions opts;
   opts.gcell_um = 1.4;  // fine grid so negotiation actually has work to do
   opts.passes = 4;
-  opts.partition = RoutePartition::Tree;
   opts.jobs = 1;
-  opts.partition_depth = -1;
   const auto baseline =
       Router(opts).route(tasks, pl.floorplan.die, lib.metal());
   EXPECT_EQ(baseline.stats.failed_nets, 0u);
 
-  for (const std::size_t jobs : {1u, 2u, 8u}) {
-    for (const int depth : {0, 1, 3, -1}) {
-      if (jobs == 1 && depth == -1) continue;  // that is the baseline
-      opts.jobs = jobs;
-      opts.partition_depth = depth;
-      const auto other =
-          Router(opts).route(tasks, pl.floorplan.die, lib.metal());
-      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                   " depth=" + std::to_string(depth));
-      expect_identical_routing(baseline, other);
-    }
+  for (const std::size_t jobs : {1u, 2u, 3u, 4u, 8u}) {
+    opts.jobs = jobs;
+    const auto other = Router(opts).route(tasks, pl.floorplan.die, lib.metal());
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    expect_identical_routing(baseline, other);
   }
 }
 
@@ -243,44 +235,12 @@ TEST(PartitionRouteTest, CongestedRoutesIdenticalAcrossJobs) {
   const sm::util::Rect die{{0, 0}, {56, 56}};
   RouterOptions opts;
   opts.passes = 6;
-  opts.partition = RoutePartition::Tree;
   opts.jobs = 1;
   const auto serial = Router(opts).route(tasks, die, stack);
   EXPECT_EQ(serial.stats.failed_nets, 0u);
   opts.jobs = 8;
-  opts.partition_depth = 2;
   const auto parallel = Router(opts).route(tasks, die, stack);
   expect_identical_routing(serial, parallel);
-}
-
-// The PR-5 escape hatch still works and keeps its own jobs-invariance.
-// (Tree and rounds may produce different — individually deterministic —
-// layouts; this only pins the rounds scheduler's contract.)
-TEST(PartitionRouteTest, RoundsEscapeHatchStillJobsIdentical) {
-  CellLibrary lib;
-  const auto nl = sm::workloads::generate(
-      lib, sm::workloads::iscas85_profile("c432"), 3);
-  sm::place::Placer placer;
-  const auto pl = placer.place(nl);
-  const auto tasks = make_tasks(nl, pl);
-
-  RouterOptions opts;
-  opts.passes = 3;
-  opts.partition = RoutePartition::Rounds;
-  opts.jobs = 1;
-  const auto serial = Router(opts).route(tasks, pl.floorplan.die, lib.metal());
-  opts.jobs = 8;
-  const auto sharded =
-      Router(opts).route(tasks, pl.floorplan.die, lib.metal());
-  expect_identical_routing(serial, sharded);
-}
-
-TEST(PartitionRouteTest, PartitionFlagParsing) {
-  EXPECT_EQ(route_partition_from_string("tree"), RoutePartition::Tree);
-  EXPECT_EQ(route_partition_from_string("rounds"), RoutePartition::Rounds);
-  EXPECT_THROW(route_partition_from_string("spiral"), std::invalid_argument);
-  EXPECT_STREQ(to_string(RoutePartition::Tree), "tree");
-  EXPECT_STREQ(to_string(RoutePartition::Rounds), "rounds");
 }
 
 }  // namespace

@@ -238,8 +238,9 @@ void expect_identical_routing(const RoutingResult& a, const RoutingResult& b) {
   EXPECT_EQ(a.stats.overflowed_gcells, b.stats.overflowed_gcells);
 }
 
-// The tentpole guarantee: sharding the negotiation rounds over any number
-// of workers yields byte-identical routes — jobs only changes wall time.
+// The tentpole guarantee: routing the partition tree's subtrees over any
+// number of workers yields byte-identical routes — jobs only changes wall
+// time.
 TEST_F(RouterTest, JobsDoNotChangeRoutes) {
   CellLibrary lib;
   const auto nl = sm::workloads::generate(
@@ -261,9 +262,9 @@ TEST_F(RouterTest, JobsDoNotChangeRoutes) {
   }
 }
 
-// Congested corridor under sharding: the greedy keep/rip selection and the
-// snapshot-commit rounds must stay byte-identical when every round
-// actually rips and re-routes nets.
+// Congested corridor under parallel routing: the greedy keep/rip selection
+// and the live-congestion commits must stay byte-identical when every
+// round actually rips and re-routes nets.
 TEST_F(RouterTest, JobsDoNotChangeCongestedRoutes) {
   std::vector<RouteTask> tasks;
   for (int i = 0; i < 48; ++i) {

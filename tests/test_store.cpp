@@ -504,6 +504,16 @@ TEST(StoreCells, GoldenConfigHashesAreStableAcrossReleases) {
   sweep::Options sbo;
   sbo.patterns = 100000;
   EXPECT_EQ(sweep::expand_cells(sb, sbo)[0].config_hash, "22e14fde13acce6f");
+
+  // Synthetic ladder: covers task_flow's synthetic-workload branch.
+  sweep::Grid synth;
+  synth.benchmarks = {"synth1k"};
+  synth.seeds = {1};
+  synth.split_layers = {4};
+  synth.defenses = {sweep::Defense::Proposed};
+  synth.scale = 0.25;
+  EXPECT_EQ(sweep::expand_cells(synth, opts)[0].config_hash,
+            "3b8260810e0f53bc");
 }
 
 TEST(StoreCells, DescribeNamesTheCell) {

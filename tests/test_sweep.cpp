@@ -5,6 +5,7 @@
 #include "sweep/sweep.hpp"
 
 #include "sweep/store.hpp"
+#include "workloads/generator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -149,6 +150,15 @@ TEST(Sweep, UnknownBenchmarkThrowsBeforeRunning) {
   sweep::Grid grid;
   grid.benchmarks = {"c432", "c9999"};
   EXPECT_THROW(sweep::run(grid, {}), std::invalid_argument);
+
+  // workload_of is the one name classifier behind that check.
+  for (const auto& name : workloads::iscas85_names())
+    EXPECT_EQ(sweep::workload_of(name), sweep::Workload::Iscas85) << name;
+  for (const auto& name : workloads::superblue_names())
+    EXPECT_EQ(sweep::workload_of(name), sweep::Workload::Superblue) << name;
+  for (const auto& name : workloads::synthetic_names())
+    EXPECT_EQ(sweep::workload_of(name), sweep::Workload::Synthetic) << name;
+  EXPECT_THROW(sweep::workload_of("c9999"), std::invalid_argument);
 }
 
 // The acceptance criterion: the same grid swept with 1 and with 8 worker
