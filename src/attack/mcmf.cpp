@@ -89,10 +89,7 @@ void MinCostFlow::bellman_ford_init() {
   throw std::logic_error("MinCostFlow: negative-cost cycle");
 }
 
-template <class IsTarget>
-int MinCostFlow::dijkstra(const int* sources, int num_sources,
-                          IsTarget is_target, bool update_pi) {
-  // Reset only what the previous search touched.
+void MinCostFlow::reset_search() {
   for (const int v : touched_) {
     dist_[static_cast<std::size_t>(v)] = kInf;
     prev_arc_[static_cast<std::size_t>(v)] = -1;
@@ -100,56 +97,64 @@ int MinCostFlow::dijkstra(const int* sources, int num_sources,
   }
   touched_.clear();
   heap_.clear();
+}
 
-  // 4-ary min-heap over (dist, node): pair comparison breaks distance ties
-  // toward the lower node index — the pinned cold==warm tie-break.
-  const auto sift_up = [&](std::size_t i) {
-    const auto item = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!(item < heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = item;
-  };
-  const auto sift_down = [&](std::size_t i) {
-    const auto item = heap_[i];
-    const std::size_t size = heap_.size();
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= size) break;
-      std::size_t best = first;
-      const std::size_t last = std::min(first + 4, size);
-      for (std::size_t c = first + 1; c < last; ++c)
-        if (heap_[c] < heap_[best]) best = c;
-      if (!(heap_[best] < item)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = item;
-  };
-  const auto push = [&](double d, int v) {
-    heap_.emplace_back(d, v);
-    sift_up(heap_.size() - 1);
-  };
+// 4-ary min-heap over (dist, node): pair comparison breaks distance ties
+// toward the lower node index, so every search is deterministic.
+void MinCostFlow::heap_push(double d, int v) {
+  heap_.emplace_back(d, v);
+  std::size_t i = heap_.size() - 1;
+  const auto item = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!(item < heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = item;
+}
 
+std::pair<double, int> MinCostFlow::heap_pop() {
+  const auto top = heap_.front();
+  const auto item = heap_.back();
+  heap_.pop_back();
+  const std::size_t size = heap_.size();
+  if (size == 0) return top;
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= size) break;
+    std::size_t best = first;
+    const std::size_t last = std::min(first + 4, size);
+    for (std::size_t c = first + 1; c < last; ++c)
+      if (heap_[c] < heap_[best]) best = c;
+    if (!(heap_[best] < item)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = item;
+  return top;
+}
+
+template <class IsTarget>
+int MinCostFlow::dijkstra(const int* sources, int num_sources,
+                          IsTarget is_target, bool update_pi) {
+  reset_search();
+  ++stats_.searches;
   for (int i = 0; i < num_sources; ++i) {
     const int s = sources[i];
     dist_[static_cast<std::size_t>(s)] = 0.0;
     touched_.push_back(s);
-    push(0.0, s);
+    heap_push(0.0, s);
   }
 
   int found = -1;
-  while (!heap_.empty()) {
-    const auto [d, u] = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
+  while (found < 0 && !heap_.empty()) {
+    const auto [d, u] = heap_pop();
     const auto su = static_cast<std::size_t>(u);
     if (scanned_[su] || d != dist_[su]) continue;  // stale heap entry
     scanned_[su] = 1;
+    ++stats_.pops;
     if (is_target(u)) {
       found = u;
       break;
@@ -168,13 +173,60 @@ int MinCostFlow::dijkstra(const int* sources, int num_sources,
         if (dist_[sv] == kInf) touched_.push_back(e.to);
         dist_[sv] = nd;
         prev_arc_[sv] = a;
-        push(nd, e.to);
+        if (nd == d && is_target(e.to)) {
+          // Nothing left in the heap is closer than d, so nd is final:
+          // settle the target without waiting for its pop (blocking_flow
+          // and apply_potentials read it as scanned).
+          scanned_[sv] = 1;
+          found = e.to;
+          break;
+        }
+        heap_push(nd, e.to);
       }
     }
   }
   if (found < 0) return -1;
   if (update_pi) apply_potentials(found);
   return found;
+}
+
+void MinCostFlow::tighten_potentials() {
+  // Reverse search: settling v relaxes every residual arc w -> v, i.e. the
+  // partner a ^ 1 of each arc a in adj_[v] (arcs_[a].to is w).
+  reset_search();
+  ++stats_.tightens;
+  dist_[static_cast<std::size_t>(t_)] = 0.0;
+  touched_.push_back(t_);
+  heap_push(0.0, t_);
+  double farthest = 0.0;
+  while (!heap_.empty()) {
+    const auto [d, v] = heap_pop();
+    const auto sv = static_cast<std::size_t>(v);
+    if (scanned_[sv] || d != dist_[sv]) continue;  // stale heap entry
+    scanned_[sv] = 1;
+    ++stats_.pops;
+    farthest = d;
+    for (const int a : adj_[sv]) {
+      const Arc& in = arcs_[static_cast<std::size_t>(a ^ 1)];
+      if (in.cap <= 0) continue;
+      const int w = arcs_[static_cast<std::size_t>(a)].to;
+      const auto sw = static_cast<std::size_t>(w);
+      if (scanned_[sw]) continue;
+      const double nd = d + std::max(0.0, in.cost + pi_[sw] - pi_[sv]);
+      if (nd < dist_[sw]) {
+        if (dist_[sw] == kInf) touched_.push_back(w);
+        dist_[sw] = nd;
+        heap_push(nd, w);
+      }
+    }
+  }
+  // rc'(u, v) = rc(u, v) + d(v) - d(u) >= 0 because d(u) <= rc + d(v); an
+  // arc from a node that reaches t into one that does not gains
+  // farthest - d(u) >= 0, and arcs among unreachable nodes are unchanged.
+  // Every subtracted d is a sum of integer reduced costs, so integer-
+  // valued potentials stay integer-valued.
+  for (std::size_t v = 0; v < pi_.size(); ++v)
+    pi_[v] -= scanned_[v] ? dist_[v] : farthest;
 }
 
 void MinCostFlow::apply_potentials(int target) {
@@ -360,9 +412,15 @@ void MinCostFlow::repair_and_augment() {
   //    once, then the potentials catch up. With tie-rich costs this is the
   //    Hopcroft-Karp phase structure (one Dijkstra routes many units); the
   //    attack's integer-exact salted costs make every path length unique,
-  //    so each phase typically routes one unit — the win there is that the
-  //    warm potentials keep each Dijkstra confined to a small frontier
-  //    instead of rescanning the whole graph like SPFA did.
+  //    so each phase typically routes one unit. There the win is the
+  //    tightening pass: with every reduced distance to t at 0, a search
+  //    walks its shortest path to t instead of first popping every open
+  //    sink (all at reduced distance 0 behind their 0-cost source arcs).
+  //    A single missing unit takes one search that stops at t, which
+  //    never costs more than the full reverse pass, so the pass runs only
+  //    when at least two units remain (warm repairs often re-route their
+  //    removed arcs in steps 1-2 and add at most one unit here).
+  if (target_ - flow_ > 1) tighten_potentials();
   while (flow_ < target_) {
     if (dijkstra(&s_, 1, [&](int x) { return x == t_; },
                  /*update_pi=*/false) < 0)

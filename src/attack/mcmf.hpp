@@ -3,26 +3,31 @@
 // attack to assign sink fragments to driver fragments at least total cost —
 // the formulation of Wang et al. [5].
 //
-// This replaces the original SPFA solver, which re-scanned the whole
-// residual graph per augmentation. With node potentials every residual arc
-// keeps a non-negative reduced cost, so each augmentation is one
-// early-terminating Dijkstra — and on the attack's assignment-shaped
-// network (all source arcs cost 0) the solver routes each unit from its
-// source arc head directly, exploring only the local candidate
-// neighborhood instead of the full graph.
+// With node potentials every residual arc keeps a non-negative reduced
+// cost, so each augmentation is one early-terminating Dijkstra. Two rules
+// keep those searches local on the attack's assignment-shaped network,
+// where every s -> sink and driver -> t arc costs 0 and would otherwise
+// form zero-reduced-cost plateaus that a search pops node by node:
+//   * Tightening: before augmenting two or more units, one reverse
+//     Dijkstra from t sets pi -= (reduced distance to t), so every node's
+//     reduced distance to t becomes 0 and each search toward t is an A*
+//     search with an exact heuristic — it walks the shortest path instead
+//     of popping every open sink.
+//   * Early stop: a search ends the moment it relaxes a target at the
+//     distance currently being popped; that distance is already final.
 //
 // Incremental API: after a solve(), remove_edge()/update_edge() may perturb
 // individual arcs and resolve() repairs the flow *warm* — only the
 // imbalances the perturbations created are re-routed, and the potentials
 // carry over. Cold re-solves of the same final network and warm repairs
-// produce identical assignments (not merely equal cost): every shortest-
-// path search breaks distance ties on the lowest node index, relaxes arcs
-// in insertion (edge-id) order, and replaces a predecessor only on strict
-// improvement, so the optimum reached is pinned as long as it is unique.
-// The contract (and what invalidates the potentials) is documented in
-// ARCHITECTURE.md, "MCMF warm-start contract", and enforced by the
-// randomized cold-vs-warm harness in tests/test_mcmf.cpp plus the real
-// attack rigs in tests/test_attack.cpp.
+// produce identical assignments (not merely equal cost) whenever the
+// min-cost flow is unique: every augmentation runs along a shortest path,
+// so both reach the optimum, and a unique optimum leaves them nothing to
+// disagree on. The attack makes the optimum unique with integer-exact
+// salted costs. The contract (and what invalidates the potentials) is
+// documented in ARCHITECTURE.md, "MCMF warm-start contract", and enforced
+// by the randomized cold-vs-warm harness in tests/test_mcmf.cpp plus the
+// real attack rigs in tests/test_attack.cpp.
 #pragma once
 
 #include <cstdint>
@@ -69,6 +74,15 @@ class MinCostFlow {
   int flow() const { return flow_; }
   double cost() const;  ///< Σ flow·cost over edges, recomputed exactly
 
+  /// Deterministic work counters, cumulative over this solver's lifetime
+  /// (per instance, so concurrent attacks never share them).
+  struct Stats {
+    std::uint64_t searches = 0;  ///< forward shortest-path searches
+    std::uint64_t pops = 0;      ///< nodes popped by searches and tightens
+    std::uint64_t tightens = 0;  ///< reverse tightening passes
+  };
+  const Stats& stats() const { return stats_; }
+
  private:
   /// One residual arc; arcs_[2*id] is edge id's forward arc, arcs_[2*id+1]
   /// its reverse (so `a ^ 1` pairs them and arcs_[a ^ 1].to is a's tail).
@@ -80,9 +94,14 @@ class MinCostFlow {
 
   double reduced_cost(int arc) const;
   void bellman_ford_init();
-  /// Dijkstra over reduced costs from `sources` until a node satisfying
-  /// `is_target` pops (first pop = smallest (dist, node) — the pinned
-  /// tie-break). Returns that node or -1. On success (unless the caller
+  /// Clear the previous search's scratch (sparsely, via touched_).
+  void reset_search();
+  void heap_push(double d, int v);
+  std::pair<double, int> heap_pop();
+  /// Dijkstra over reduced costs from `sources` until a target settles:
+  /// either a node satisfying `is_target` pops, or one is relaxed at the
+  /// distance currently being popped (final, since nothing in the heap is
+  /// closer). Returns that node or -1. On success (unless the caller
   /// defers it for a blocking phase) applies apply_potentials(found).
   template <class IsTarget>
   int dijkstra(const int* sources, int num_sources, IsTarget is_target,
@@ -92,6 +111,11 @@ class MinCostFlow {
   /// capped rule (offsets cancel in every reduced cost), keeping the
   /// update O(scanned) instead of O(nodes).
   void apply_potentials(int target);
+  /// Reverse Dijkstra from t over reduced costs, then pi[v] -= d(v), the
+  /// reduced distance from v to t; nodes that cannot reach t take the
+  /// largest finite d. Reduced costs stay >= 0 (triangle inequality) and
+  /// every shortest path to t becomes a zero-reduced-cost path.
+  void tighten_potentials();
   /// Dinic-style blocking flow over the last search's bitwise shortest-
   /// path DAG (arcs with dist[u] + rc == dist[v], both endpoints scanned):
   /// saturates every admissible s->t path of the current shortest length
@@ -134,6 +158,8 @@ class MinCostFlow {
   std::vector<int> cur_arc_;
   std::vector<char> on_path_;
   std::vector<int> path_;
+
+  Stats stats_;
 };
 
 }  // namespace sm::attack

@@ -477,6 +477,7 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
     // loop terminates.
     std::vector<char> removed(refs.size(), 0);
     std::vector<std::size_t> chosen;
+    const bool debug_rounds = std::getenv("SM_MCMF_DEBUG") != nullptr;
     std::vector<std::size_t> current(ns, static_cast<std::size_t>(-1));
     for (;;) {
       chosen.clear();
@@ -521,7 +522,7 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
         for (const auto& s : view.fragments[snk_frag_ids[r.si]].sinks)
           hyp.add_edge(drv, s.cell);
       }
-      if (getenv("SM_MCMF_DEBUG")) {
+      if (debug_rounds) {
         std::uint64_t h = 1469598103934665603ull;
         for (const std::size_t i : chosen) {
           h = (h ^ refs[i].si) * 1099511628211ull;

@@ -9,10 +9,13 @@
 //   (ii) avoidance of combinational loops in the hypothesis netlist,
 //   (iii) load-capacitance constraints per driver strength,
 //   (iv) direction of the dangling wires at the split layer.
-// Matching is greedy-global over candidate pairs ordered by cost (a faithful
-// stand-in for the min-cost-flow formulation: both realize least-total-cost
-// assignment under the same feasibility rules). Every sink is eventually
-// connected (falling back to the nearest loop-free driver), so the recovered
+// Matching is the min-cost-flow formulation itself (attack/mcmf.hpp):
+// source -> sink fragments -> candidate driver fragments -> drivers (capped
+// by the load budget) -> target. Loop avoidance runs through the solver:
+// assignments that would close a combinational cycle are removed from the
+// network and the flow re-solved until every committed edge is loop-free.
+// Sinks the flow leaves unassigned fall back to their cheapest loop-free
+// candidate, then to the cheapest loop-free driver of all, so the recovered
 // netlist is complete and simulable — exactly what the CCR/OER/HD metrics
 // need.
 //
@@ -96,7 +99,9 @@ struct ProximityOptions {
 
 struct ProximityResult {
   std::size_t open_sinks = 0;      ///< sink pins the attacker had to connect
-  std::size_t matched = 0;         ///< connected by the main matching
+  /// Sink fragments given a driver: by the flow matching or by the
+  /// loop-free fallbacks for sinks the flow left unassigned.
+  std::size_t matched = 0;
   std::size_t correct = 0;         ///< equal to the original netlist
   std::size_t protected_total = 0; ///< swapped (randomized) sink pins seen
   std::size_t protected_correct = 0;

@@ -1,7 +1,8 @@
 // Min-cost max-flow kernel tests (the matching engine of the network-flow
 // proximity attack): cold-solve correctness, the incremental warm-start API
-// (remove_edge/update_edge/resolve), and the randomized cold==warm equality
-// harness the ISSUE-10 determinism contract rests on.
+// (remove_edge/update_edge/resolve), the randomized cold==warm equality
+// harnesses the warm-start determinism contract rests on, and work bounds
+// that keep the solver's searches local at attack scale.
 #include "attack/mcmf.hpp"
 
 #include "util/rng.hpp"
@@ -9,12 +10,62 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace {
 
 using sm::attack::MinCostFlow;
+
+/// One edge of a network as built, mirrored outside the solver so a cold
+/// reference can be rebuilt from the final state.
+struct Spec {
+  int from, to, cap;
+  double cost;
+};
+
+/// Integer-valued doubles, base * 2^28 + 28 random low bits (the warm-start
+/// contract's domain, as the attack builds them): exact arithmetic
+/// throughout the solver, unique optimum w.p. 1 - edges/2^28 per network
+/// (isolation lemma).
+double salted_cost(sm::util::Rng& rng, std::uint64_t base_bound) {
+  const double base = static_cast<double>(rng.below(base_bound));
+  const double tie = static_cast<double>(rng.below(1u << 28));
+  return base * 268435456.0 + tie;
+}
+
+/// Bitwise comparison of `warm` against a cold solver built directly on
+/// the final network `specs` (terminals 0 and 1): equal flow, equal cost
+/// and equal flow on every edge, plus feasibility invariants that hold
+/// independently of the cold reference.
+void expect_cold_equals_warm(const MinCostFlow& warm,
+                             const std::vector<Spec>& specs, int n,
+                             int budget, const std::string& label) {
+  constexpr int S = 0, T = 1;
+  MinCostFlow cold(n);
+  for (const auto& s : specs) cold.add_edge(s.from, s.to, s.cap, s.cost);
+  const auto [cf, cc] = cold.solve(S, T, budget);
+  EXPECT_EQ(cf, warm.flow()) << label;
+  EXPECT_EQ(cc, warm.cost()) << label;
+  for (std::size_t id = 0; id < specs.size(); ++id)
+    ASSERT_EQ(cold.flow_on(static_cast<int>(id)),
+              warm.flow_on(static_cast<int>(id)))
+        << label << " edge " << id;
+  std::vector<int> net(static_cast<std::size_t>(n), 0);
+  for (std::size_t id = 0; id < specs.size(); ++id) {
+    const int fl = warm.flow_on(static_cast<int>(id));
+    ASSERT_GE(fl, 0);
+    ASSERT_LE(fl, specs[id].cap);
+    net[static_cast<std::size_t>(specs[id].from)] -= fl;
+    net[static_cast<std::size_t>(specs[id].to)] += fl;
+  }
+  ASSERT_EQ(net[static_cast<std::size_t>(T)], warm.flow()) << label;
+  ASSERT_EQ(net[static_cast<std::size_t>(S)], -warm.flow()) << label;
+  for (int v = 2; v < n; ++v)
+    ASSERT_EQ(net[static_cast<std::size_t>(v)], 0) << label << " node " << v;
+}
 
 TEST(Mcmf, SimplePath) {
   MinCostFlow f(3);
@@ -290,8 +341,7 @@ TEST(Mcmf, ApiMisuseThrows) {
 // attack's do): a random integer base in the high bits plus 28 random
 // tie-break bits in the low bits, so every sum the solver forms is an
 // exact integer below 2^53 and the optimum is unique by the isolation
-// lemma — the pinned (cost, node, edge-id) tie-break has nothing left to
-// decide.
+// lemma — which search order reaches it has nothing left to decide.
 TEST(Mcmf, RandomizedColdEqualsWarm) {
   constexpr int kTrials = 1200;
   std::size_t perturbations = 0;
@@ -304,10 +354,6 @@ TEST(Mcmf, RandomizedColdEqualsWarm) {
     const auto sink_node = [&](int si) { return 2 + si; };
     const auto drv_node = [&](int di) { return 2 + ns + di; };
 
-    struct Spec {
-      int from, to, cap;
-      double cost;
-    };
     std::vector<Spec> specs;
     MinCostFlow warm(n);
     const auto add = [&](int from, int to, int cap, double cost) {
@@ -316,14 +362,7 @@ TEST(Mcmf, RandomizedColdEqualsWarm) {
       specs.push_back({from, to, cap, cost});
       return id;
     };
-    const auto rand_cost = [&] {
-      // Integer-valued doubles, base * 2^28 + 28 random low bits: exact
-      // arithmetic throughout the solver, unique optimum w.p.
-      // 1 - edges/2^28 per trial (isolation lemma).
-      const double base = static_cast<double>(rng.below(1u << 10));
-      const double tie = static_cast<double>(rng.below(1u << 28));
-      return base * 268435456.0 + tie;
-    };
+    const auto rand_cost = [&] { return salted_cost(rng, 1u << 10); };
     for (int si = 0; si < ns; ++si) add(S, sink_node(si), 1, 0.0);
     for (int di = 0; di < nd; ++di)
       add(drv_node(di), T, static_cast<int>(rng.range(0, 3)), 0.0);
@@ -382,30 +421,127 @@ TEST(Mcmf, RandomizedColdEqualsWarm) {
       warm.resolve();
     }
 
-    MinCostFlow cold(n);
-    for (const auto& s : specs) cold.add_edge(s.from, s.to, s.cap, s.cost);
-    const auto [cf, cc] = cold.solve(S, T, budget);
-    EXPECT_EQ(cf, warm.flow()) << "trial " << trial;
-    EXPECT_EQ(cc, warm.cost()) << "trial " << trial;
-    for (std::size_t id = 0; id < specs.size(); ++id)
-      ASSERT_EQ(cold.flow_on(static_cast<int>(id)),
-                warm.flow_on(static_cast<int>(id)))
-          << "trial " << trial << " edge " << id;
-    // Feasibility invariants, independent of the cold reference.
-    std::vector<int> net(static_cast<std::size_t>(n), 0);
-    for (std::size_t id = 0; id < specs.size(); ++id) {
-      const int fl = warm.flow_on(static_cast<int>(id));
-      ASSERT_GE(fl, 0);
-      ASSERT_LE(fl, specs[id].cap);
-      net[static_cast<std::size_t>(specs[id].from)] -= fl;
-      net[static_cast<std::size_t>(specs[id].to)] += fl;
-    }
-    ASSERT_EQ(net[static_cast<std::size_t>(T)], warm.flow());
-    ASSERT_EQ(net[static_cast<std::size_t>(S)], -warm.flow());
-    for (int v = 2; v < n; ++v) ASSERT_EQ(net[static_cast<std::size_t>(v)], 0);
+    expect_cold_equals_warm(warm, specs, n, budget,
+                            "trial " + std::to_string(trial));
   }
   // The harness must actually exercise the incremental API at scale.
   EXPECT_GE(perturbations, 1000u);
+}
+
+// Attack-scale cold==warm: networks the size of real loop-repair instances
+// (ns 50-300, nd 30-200, 8-16 candidates per sink) with driver -> t
+// capacities of 1-3, so the delivered flow forms the zero-reduced-cost
+// plateau around t that the early-stop rule short-cuts. Every round knocks
+// out about a quarter of the flow-carrying candidate arcs, as the attack's
+// loop repair does, and the warm state must equal a cold rebuild edge for
+// edge after each resolve().
+TEST(Mcmf, AttackScaleColdEqualsWarm) {
+  constexpr int kTrials = 50;
+  constexpr int S = 0, T = 1;
+  std::size_t removals = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    sm::util::Rng rng(0xa77ac4ULL + static_cast<std::uint64_t>(trial));
+    const int ns = static_cast<int>(rng.range(50, 300));
+    const int nd = static_cast<int>(rng.range(30, 200));
+    const int k = static_cast<int>(rng.range(8, 16));
+    const int n = 2 + ns + nd;
+
+    std::vector<Spec> specs;
+    MinCostFlow warm(n);
+    const auto add = [&](int from, int to, int cap, double cost) {
+      specs.push_back({from, to, cap, cost});
+      return warm.add_edge(from, to, cap, cost);
+    };
+    for (int si = 0; si < ns; ++si) add(S, 2 + si, 1, 0.0);
+    for (int di = 0; di < nd; ++di)
+      add(2 + ns + di, T, static_cast<int>(rng.range(1, 3)), 0.0);
+    std::vector<int> candidates;
+    for (int si = 0; si < ns; ++si)
+      for (int c = 0; c < k; ++c) {
+        const int di =
+            static_cast<int>(rng.below(static_cast<std::uint64_t>(nd)));
+        candidates.push_back(
+            add(2 + si, 2 + ns + di, 1, salted_cost(rng, 1u << 12)));
+      }
+    warm.solve(S, T, ns);
+
+    const int rounds = static_cast<int>(rng.range(2, 5));
+    for (int round = 0; round < rounds; ++round) {
+      for (const int id : candidates)
+        if (warm.flow_on(id) > 0 && rng.below(4) == 0) {
+          warm.remove_edge(id);
+          specs[static_cast<std::size_t>(id)].cap = 0;
+          ++removals;
+        }
+      warm.resolve();
+      expect_cold_equals_warm(
+          warm, specs, n, ns,
+          "trial " + std::to_string(trial) + " round " + std::to_string(round));
+    }
+  }
+  EXPECT_GE(removals, 2000u);
+}
+
+// Work bounds at attack scale, read from the solver's deterministic
+// counters so they hold on any host. A cold solve of a 2000-sink
+// assignment network (16 salted candidates per sink among nearby
+// capacity-2 drivers) must settle fewer than 30 nodes per sink; it settles
+// about 12, where the solver without tightening first popped each
+// still-open sink on every search — all at reduced distance 0 behind
+// their 0-cost source arcs — about 2.0M pops in all. A loop-repair-style
+// resolve() that knocks out 60 flow-carrying arcs must stay under 100
+// pops per arc (about 350 in all, against 77k when every repair search
+// popped the zero-cost plateau of drivers around t).
+TEST(Mcmf, WorkStaysLinearAtAttackScale) {
+  constexpr int kSinks = 2000, kDrivers = 3000, kCandidates = 16;
+  constexpr int kRemoved = 60;
+  constexpr int S = 0, T = 1;
+  constexpr int n = 2 + kSinks + kDrivers;
+  sm::util::Rng rng(0x5ca1eULL);
+  std::vector<Spec> specs;
+  MinCostFlow flow(n);
+  const auto add = [&](int from, int to, int cap, double cost) {
+    specs.push_back({from, to, cap, cost});
+    return flow.add_edge(from, to, cap, cost);
+  };
+  for (int si = 0; si < kSinks; ++si) add(S, 2 + si, 1, 0.0);
+  for (int di = 0; di < kDrivers; ++di) add(2 + kSinks + di, T, 2, 0.0);
+  std::vector<int> candidates;
+  for (int si = 0; si < kSinks; ++si) {
+    // Spatial locality: sink si sits near driver si * nd / ns, and the
+    // geometric base cost grows with the offset.
+    const int center = si * kDrivers / kSinks;
+    for (int c = 0; c < kCandidates; ++c) {
+      const int offset = static_cast<int>(rng.range(-24, 24));
+      const int di = (center + offset + kDrivers) % kDrivers;
+      const double base =
+          static_cast<double>((offset < 0 ? -offset : offset) * 16) +
+          static_cast<double>(rng.below(16));
+      const double cost =
+          base * 268435456.0 + static_cast<double>(rng.below(1u << 28));
+      candidates.push_back(add(2 + si, 2 + kSinks + di, 1, cost));
+    }
+  }
+  flow.solve(S, T, kSinks);
+  const MinCostFlow::Stats cold = flow.stats();
+  EXPECT_EQ(flow.flow(), kSinks);
+  EXPECT_EQ(cold.tightens, 1u);
+  EXPECT_LT(cold.pops, 30u * kSinks) << "cold solve went quadratic";
+
+  // The flow-carrying arcs among every 20th candidate, 60 in all.
+  int removed = 0;
+  for (std::size_t i = 0; i < candidates.size() && removed < kRemoved; ++i) {
+    const int id = candidates[i];
+    if (flow.flow_on(id) == 0 || i % 20 != 0) continue;
+    flow.remove_edge(id);
+    specs[static_cast<std::size_t>(id)].cap = 0;
+    ++removed;
+  }
+  ASSERT_EQ(removed, kRemoved);
+  flow.resolve();
+  const std::uint64_t repair_pops = flow.stats().pops - cold.pops;
+  EXPECT_LT(repair_pops, 100u * kRemoved) << "repair searches went global";
+  expect_cold_equals_warm(flow, specs, n, kSinks, "attack-scale repair");
 }
 
 }  // namespace
