@@ -19,7 +19,6 @@
 //   --store=<path>     append results to an event-sourced JSONL log
 //   --resume           skip cells already present in --store
 #include "common.hpp"
-#include "sweep/sweep.hpp"
 
 int main(int argc, char** argv) {
   using namespace sm;
@@ -38,11 +37,8 @@ int main(int argc, char** argv) {
   if (args.has("defenses")) grid.set("defenses", args.get("defenses", ""));
   if (args.has("attackers")) grid.set("attackers", args.get("attackers", ""));
 
-  sweep::Options opts;
-  opts.jobs = suite.jobs;
+  sweep::Options opts = bench::sweep_options(suite, args);
   opts.patterns = suite.patterns / 2;
-  opts.store_path = args.get("store", "");
-  opts.resume = args.get_bool("resume", false);
 
   const auto result = sweep::run(grid, opts);
   std::fputs(result.table().render().c_str(), stdout);

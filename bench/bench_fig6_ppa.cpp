@@ -33,10 +33,16 @@ int main(int argc, char** argv) {
     const auto design =
         core::protect_with_budget(nl, r, flow, original.ppa, 20.0, 3);
 
-    const auto rand8 = core::layout_placement_perturbed(
-        nl, flow, core::PerturbStrategy::Random, 0.25, suite.seed, 0.2);
-    const auto gt1 = core::layout_placement_perturbed(
-        nl, flow, core::PerturbStrategy::GType1, 0.25, suite.seed, 0.2);
+    // [8] at the sweep's g-random / g-type1 recipes.
+    const auto perturbed = [&](sweep::Defense d, core::PerturbStrategy st) {
+      const auto r = sweep::baseline_recipe(d);
+      return core::layout_placement_perturbed(nl, flow, st, r.fraction,
+                                              suite.seed, r.radius_frac);
+    };
+    const auto rand8 =
+        perturbed(sweep::Defense::GRandom, core::PerturbStrategy::Random);
+    const auto gt1 =
+        perturbed(sweep::Defense::GType1, core::PerturbStrategy::GType1);
 
     const double d_area = util::pct_delta(original.ppa.die_area_um2,
                                           design.layout.ppa.die_area_um2);

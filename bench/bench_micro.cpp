@@ -207,12 +207,11 @@ struct AttackRig {
 };
 
 void attack_candidates(benchmark::State& state, int index_min_drivers,
-                       std::size_t jobs, bool mcmf_warm = true) {
+                       bool mcmf_warm = true) {
   const auto& rig = AttackRig::instance();
   attack::ProximityOptions opts;
   opts.eval_patterns = 64;
   opts.index_min_drivers = index_min_drivers;
-  opts.jobs = jobs;
   opts.mcmf_warm = mcmf_warm;
   for (auto _ : state) {
     const auto res = attack::proximity_attack(
@@ -222,11 +221,11 @@ void attack_candidates(benchmark::State& state, int index_min_drivers,
 }
 
 void BM_AttackCandidatesBrute(benchmark::State& state) {
-  attack_candidates(state, std::numeric_limits<int>::max(), 1);
+  attack_candidates(state, std::numeric_limits<int>::max());
 }
 
 void BM_AttackCandidatesIndexed(benchmark::State& state) {
-  attack_candidates(state, 0, 1);
+  attack_candidates(state, 0);
 }
 
 // The ISSUE-10 comparison rig: the identical attack with the per-round
@@ -234,11 +233,7 @@ void BM_AttackCandidatesIndexed(benchmark::State& state) {
 // bit-identical to BM_AttackCandidatesIndexed (tests/test_attack.cpp
 // WarmColdRig.C7552) — only the matcher's wall time moves.
 void BM_AttackCandidatesColdMcmf(benchmark::State& state) {
-  attack_candidates(state, 0, 1, /*mcmf_warm=*/false);
-}
-
-void BM_AttackCandidatesIndexedJobs(benchmark::State& state) {
-  attack_candidates(state, 0, static_cast<std::size_t>(state.range(0)));
+  attack_candidates(state, 0, /*mcmf_warm=*/false);
 }
 
 // ---- MCMF solver rigs (ISSUE-10) ----
@@ -359,12 +354,6 @@ BENCHMARK(BM_AttackCandidatesIndexed)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_AttackCandidatesColdMcmf)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_McmfSolveCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_McmfRepairWarm)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AttackCandidatesIndexedJobs)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GridIndexKNearest)->Arg(1000)->Arg(100000);
 
 }  // namespace

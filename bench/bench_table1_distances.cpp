@@ -23,14 +23,12 @@ int main(int argc, char** argv) {
   };
   std::vector<PerBench> results(names.size());
 
-  bench::for_each_benchmark(names, suite, [&](std::size_t i) {
+  util::parallel_for(suite.jobs, names.size(), [&](std::size_t i) {
     const auto spec = workloads::superblue_profile(names[i], suite.scale);
     netlist::CellLibrary lib{8};
     const auto nl = workloads::generate(lib, spec, suite.seed);
-    const auto flow = bench::apply_layout_flags(
-        sweep::task_flow(names[i], sweep::Workload::Superblue, suite.seed,
-                         suite.scale),
-        suite);
+    const auto flow = sweep::task_flow(names[i], sweep::Workload::Superblue,
+                                       suite.seed, suite.scale);
 
     const auto design =
         core::protect(nl, sweep::task_randomize(suite.seed), flow);

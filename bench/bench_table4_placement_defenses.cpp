@@ -10,128 +10,29 @@
 // Expected shape: Original highly attackable (high CCR, low HD); placement
 // perturbation helps marginally; the proposed scheme reaches 0% CCR with
 // OER ~100% and HD ~40%.
-#include "attack/proximity.hpp"
+//
+// A pivot over one sweep (bench/common.hpp pivot_table_main): every column
+// is a grid defense, so --jobs spreads cells and --store/--resume make the
+// table resumable.
 #include "common.hpp"
 
-namespace {
-
-struct Score {
-  double ccr = 0, oer = 0, hd = 0;
-};
-
-using namespace sm;
-
-Score attack_avg(const netlist::Netlist& feol, const netlist::Netlist& truth,
-                 const core::LayoutResult& layout,
-                 const core::SwapLedger* ledger, std::size_t patterns,
-                 bool protected_ccr, std::size_t attack_jobs) {
-  Score s;
-  attack::ProximityOptions opts;
-  opts.eval_patterns = patterns;
-  opts.jobs = attack_jobs;  // intra-attack sharding; metrics jobs-invariant
-  for (const int split : {3, 4, 5}) {
-    const auto view =
-        core::split_layout(feol, layout.placement, layout.routing,
-                           layout.tasks, layout.num_net_tasks, split);
-    const auto res = attack::proximity_attack(feol, truth, layout.placement,
-                                              view, ledger, opts);
-    s.ccr += protected_ccr ? res.ccr_protected() : res.ccr();
-    s.oer += res.rates.oer;
-    s.hd += res.rates.hd;
-  }
-  s.ccr /= 3;
-  s.oer /= 3;
-  s.hd /= 3;
-  return s;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const auto suite = bench::parse_suite(argc, argv);
-  bench::print_header(
+  using sm::sweep::Defense;
+  using M = sm::sweep::Means;
+  return sm::bench::pivot_table_main(
+      argc, argv,
       "Table 4: proximity attack vs placement-perturbation defenses "
-      "(ISCAS-85, averaged over splits M3/M4/M5)");
-
-  const auto names = bench::pick(workloads::iscas85_names(), suite);
-  struct PerBench {
-    Score so, sp, sprop;
-    double s_rand = 0, s_col = 0, s_t1 = 0, s_t2 = 0;
-  };
-  std::vector<PerBench> results(names.size());
-
-  bench::for_each_benchmark(names, suite, [&](std::size_t i) {
-    netlist::CellLibrary lib{6};
-    const auto nl = workloads::generate(
-        lib, workloads::iscas85_profile(names[i]), suite.seed);
-    const auto flow = bench::apply_layout_flags(
-        sweep::task_flow(names[i], sweep::Workload::Iscas85, suite.seed,
-                         suite.scale),
-        suite);
-    PerBench& r = results[i];
-
-    const auto original = core::layout_original(nl, flow);
-    r.so = attack_avg(nl, nl, original, nullptr, suite.patterns, false, suite.attack_jobs);
-
-    // [5]: selective, small perturbation (the paper reports only a marginal
-    // improvement over unprotected layouts).
-    const auto perturbed = core::layout_placement_perturbed(
-        nl, flow, core::PerturbStrategy::Random, 0.05, suite.seed, 0.1);
-    r.sp = attack_avg(nl, nl, perturbed, nullptr, suite.patterns, false, suite.attack_jobs);
-
-    auto strategy_ccr = [&](core::PerturbStrategy st) {
-      const auto lay = core::layout_placement_perturbed(nl, flow, st, 0.25,
-                                                        suite.seed, 0.2);
-      return attack_avg(nl, nl, lay, nullptr, suite.patterns / 4, false, suite.attack_jobs).ccr;
-    };
-    r.s_rand = strategy_ccr(core::PerturbStrategy::Random);
-    r.s_col = strategy_ccr(core::PerturbStrategy::GColor);
-    r.s_t1 = strategy_ccr(core::PerturbStrategy::GType1);
-    r.s_t2 = strategy_ccr(core::PerturbStrategy::GType2);
-
-    const auto design =
-        core::protect(nl, sweep::task_randomize(suite.seed), flow);
-    r.sprop = attack_avg(design.erroneous, nl, design.layout, &design.ledger,
-                         suite.patterns, true, suite.attack_jobs);
-  });
-
-  util::Table table({"Benchmark", "Orig CCR", "Orig OER", "Orig HD",
-                     "Perturb[5] CCR", "Perturb[5] HD", "Random[8] CCR",
-                     "G-Color[8] CCR", "G-Type1[8] CCR", "G-Type2[8] CCR",
-                     "Prop CCR", "Prop OER", "Prop HD"});
-  Score avg_orig, avg_prop;
-  int count = 0;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const PerBench& r = results[i];
-    table.add_row({names[i], util::Table::pct(100 * r.so.ccr, 1),
-                   util::Table::pct(100 * r.so.oer, 1),
-                   util::Table::pct(100 * r.so.hd, 1),
-                   util::Table::pct(100 * r.sp.ccr, 1),
-                   util::Table::pct(100 * r.sp.hd, 1),
-                   util::Table::pct(100 * r.s_rand, 1),
-                   util::Table::pct(100 * r.s_col, 1),
-                   util::Table::pct(100 * r.s_t1, 1),
-                   util::Table::pct(100 * r.s_t2, 1),
-                   util::Table::pct(100 * r.sprop.ccr, 1),
-                   util::Table::pct(100 * r.sprop.oer, 1),
-                   util::Table::pct(100 * r.sprop.hd, 1)});
-    avg_orig.ccr += r.so.ccr;
-    avg_orig.oer += r.so.oer;
-    avg_orig.hd += r.so.hd;
-    avg_prop.ccr += r.sprop.ccr;
-    avg_prop.oer += r.sprop.oer;
-    avg_prop.hd += r.sprop.hd;
-    ++count;
-  }
-  if (count > 0) {
-    table.add_separator();
-    table.add_row({"Average", util::Table::pct(100 * avg_orig.ccr / count, 1),
-                   util::Table::pct(100 * avg_orig.oer / count, 1),
-                   util::Table::pct(100 * avg_orig.hd / count, 1), "", "", "",
-                   "", "", "", util::Table::pct(100 * avg_prop.ccr / count, 1),
-                   util::Table::pct(100 * avg_prop.oer / count, 1),
-                   util::Table::pct(100 * avg_prop.hd / count, 1)});
-  }
-  std::fputs(table.render().c_str(), stdout);
-  return 0;
+      "(ISCAS-85, averaged over splits M3/M4/M5)",
+      {{"Orig CCR", Defense::Unprotected, &M::ccr, true},
+       {"Orig OER", Defense::Unprotected, &M::oer, true},
+       {"Orig HD", Defense::Unprotected, &M::hd, true},
+       {"Perturb[5] CCR", Defense::PlacePerturb, &M::ccr},
+       {"Perturb[5] HD", Defense::PlacePerturb, &M::hd},
+       {"Random[8] CCR", Defense::GRandom, &M::ccr},
+       {"G-Color[8] CCR", Defense::GColor, &M::ccr},
+       {"G-Type1[8] CCR", Defense::GType1, &M::ccr},
+       {"G-Type2[8] CCR", Defense::GType2, &M::ccr},
+       {"Prop CCR", Defense::Proposed, &M::ccr_protected, true},
+       {"Prop OER", Defense::Proposed, &M::oer, true},
+       {"Prop HD", Defense::Proposed, &M::hd, true}});
 }

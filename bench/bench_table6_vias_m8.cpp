@@ -32,10 +32,14 @@ int main(int argc, char** argv) {
     const auto original = core::layout_original(nl, flow);
     // [7]: a handful of mid-stack blockages (the defense perturbs routing
     // implicitly and conservatively; the paper reports roughly half the via
-    // increase of the proposed scheme).
+    // increase of the proposed scheme), with the sweep's route-blockage
+    // recipe.
+    const auto blk = sweep::baseline_recipe(sweep::Defense::RouteBlockage);
     const auto blocked = core::layout_routing_blockage(
-        nl, flow, 5, original.placement.floorplan.die.width() / 14.0, 5,
-        suite.seed);
+        nl, flow, blk.blockages,
+        original.placement.floorplan.die.width() /
+            static_cast<double>(blk.width_divisor),
+        blk.blockage_max_layer, suite.seed);
     const auto design =
         core::protect(nl, sweep::task_randomize(suite.seed), flow);
 

@@ -9,29 +9,15 @@
 //   --quick         clip benchmark lists for smoke runs
 //   --benchmarks=a,b,c   explicit benchmark subset (empty entries skipped,
 //                        so a trailing comma is harmless)
-//   --jobs=<n>      worker threads for the per-benchmark loop (default 1;
-//                   0 = hardware concurrency). Results are bit-identical
-//                   for any value — benches compute into index-addressed
-//                   slots and render tables in benchmark order afterwards.
-//   --attack-jobs=<n>  worker threads *inside* each proximity attack
-//                   (candidate generation + OER/HD simulation blocks);
-//                   default 1. Also bit-identical for any value. Prefer
-//                   --jobs when sweeping many benchmarks and --attack-jobs
-//                   when drilling into one large instance — combining both
-//                   oversubscribes the machine.
-//   --route-jobs=<n>   worker threads inside each router run (partition
-//                   tree subtrees route concurrently); default 1, routes
-//                   bit-identical for any value. Same stacking caveat as
-//                   --attack-jobs.
-//   --route-passes=<n>   router rip-up-and-reroute rounds (default: the
-//                   suite tuning, currently 3)
-//   --detailed-passes=<n>  placer greedy-swap refinement sweeps (default:
-//                   the per-suite tuning, 2 ISCAS / 1 superblue)
+//   --jobs=<n>      worker threads (default 1; 0 = hardware concurrency):
+//                   sweep cells for the sweep front ends (tables 4/5,
+//                   ablation_split), benchmarks for table 1. Results are
+//                   bit-identical for any value; the other benches run
+//                   serially.
 //
-//   The three layout-engine flags are applied via apply_layout_flags(),
-//   currently wired into the table 1/4/5 benches — the remaining benches
-//   parse but ignore them (like --jobs on the serial benches; see
-//   docs/CLI.md for the wiring status).
+//   The sweep front ends add --store=<path> / --resume (sweep_options()).
+//   Retired flags (parse_suite's `removed` list) are rejected instead of
+//   being ignored.
 //
 //   The suite tuning itself is the sweep's flow recipe (sweep::task_flow /
 //   sweep::task_randomize), so the benches, sm_flow and the sweep lay out
@@ -48,9 +34,11 @@
 #include "util/thread_pool.hpp"
 #include "workloads/generator.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sm::bench {
@@ -60,25 +48,27 @@ struct SuiteOptions {
   std::uint64_t seed = 1;
   std::size_t patterns = 100000;
   bool quick = false;
-  std::size_t jobs = 1;         ///< threads for the benchmark loop; 0 = hw
-  std::size_t attack_jobs = 1;  ///< threads inside each proximity attack
-  std::size_t route_jobs = 1;   ///< threads inside each router run
-  std::size_t route_passes = 0; ///< router negotiation rounds; 0 = suite default
-  int detailed_passes = -1;     ///< placer refinement sweeps; -1 = suite default
+  std::size_t jobs = 1;  ///< worker threads; 0 = hardware concurrency
   std::vector<std::string> only;  ///< benchmark filter (empty = all)
 };
 
 inline SuiteOptions parse_suite(int argc, const char* const* argv) {
   util::Args args(argc, argv);
   // util::Args ignores unknown keys: without this check a script still
-  // selecting the retired rounds scheduler would silently get a different
-  // layout.
-  for (const char* removed : {"route-partition", "partition-depth"})
-    if (args.has(removed))
-      throw std::invalid_argument(
-          std::string("bench: --") + removed +
-          " was removed: the partition tree is the only router "
-          "scheduler and sets its own fan-out depth");
+  // passing a retired flag would silently get a different layout or
+  // thread count than it asked for.
+  const std::pair<const char*, const char*> removed[] = {
+      {"route-partition", "the partition tree is the only router scheduler"},
+      {"partition-depth", "the router sets its own fan-out depth"},
+      {"attack-jobs", "attacks run on one thread; --jobs spreads sweep cells"},
+      {"route-jobs", "--jobs spreads sweep cells or benchmarks"},
+      {"route-passes", "benches lay out with the sweep's flow recipe"},
+      {"detailed-passes", "benches lay out with the sweep's flow recipe"},
+  };
+  for (const auto& [flag, why] : removed)
+    if (args.has(flag))
+      throw std::invalid_argument(std::string("bench: --") + flag +
+                                  " was removed: " + why);
   SuiteOptions s;
   s.scale = args.get_double("scale", s.scale);
   s.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -86,40 +76,20 @@ inline SuiteOptions parse_suite(int argc, const char* const* argv) {
       args.get_int("patterns", static_cast<std::int64_t>(s.patterns)));
   s.quick = args.get_bool("quick", false);
   s.jobs = args.get_count("jobs", 1);
-  s.attack_jobs = args.get_count("attack-jobs", 1);
-  s.route_jobs = args.get_count("route-jobs", 1);
-  if (args.has("route-passes")) {
-    s.route_passes = args.get_count("route-passes", 0);
-    if (s.route_passes == 0)
-      throw std::invalid_argument("bench: --route-passes must be >= 1");
-  }
-  if (args.has("detailed-passes"))
-    s.detailed_passes =
-        static_cast<int>(args.get_count("detailed-passes", 0));
   s.only = util::split_list(args.get("benchmarks", ""));
   return s;
 }
 
-/// Apply the layout-engine flags (--route-passes / --route-jobs /
-/// --detailed-passes) on top of a suite's tuned FlowOptions. Unset flags
-/// keep the suite tuning (sentinels 0 / -1), so retuning a suite default
-/// can never be silently undone by a flag nobody passed.
-inline core::FlowOptions apply_layout_flags(core::FlowOptions f,
-                                            const SuiteOptions& s) {
-  if (s.route_passes > 0) f.router.passes = static_cast<int>(s.route_passes);
-  f.router.jobs = s.route_jobs;
-  if (s.detailed_passes >= 0) f.placer.detailed_passes = s.detailed_passes;
-  return f;
-}
-
-/// Run body(i) for every picked benchmark index over suite.jobs threads.
-/// body must write only into its own index's slot of a pre-sized results
-/// vector; the caller renders rows in index order after this returns, which
-/// keeps the printed tables bit-identical for any --jobs value.
-inline void for_each_benchmark(const std::vector<std::string>& names,
-                               const SuiteOptions& s,
-                               const std::function<void(std::size_t)>& body) {
-  util::parallel_for(s.jobs, names.size(), body);
+/// Sweep options of a sweep front end: --jobs and --patterns from the
+/// suite, plus --store=<path> and --resume.
+inline sweep::Options sweep_options(const SuiteOptions& s,
+                                    const util::Args& args) {
+  sweep::Options opts;
+  opts.jobs = s.jobs;
+  opts.patterns = s.patterns;
+  opts.store_path = args.get("store", "");
+  opts.resume = args.get_bool("resume", false);
+  return opts;
 }
 
 inline std::vector<std::string> pick(const std::vector<std::string>& all,
@@ -138,6 +108,76 @@ inline void print_header(const char* what) {
   std::printf(
       "(synthetic benchmark clones; expect the paper's *shape*, not its "
       "absolute numbers)\n\n");
+}
+
+/// One column of a paper table pivoted from sweep rows: `field` of the
+/// (benchmark, defense, proximity) mean. `averaged` columns also fill the
+/// Average row.
+struct PivotColumn {
+  const char* title;
+  sweep::Defense defense;
+  double sweep::Means::*field;
+  bool averaged = false;
+};
+
+/// main() of a paper table over the ISCAS-85 suite (Tables 4/5): one sweep
+/// over the picked benchmarks x the suite seed x splits M3/M4/M5 x the
+/// columns' defenses, proximity attacker, pivoted into one line per
+/// benchmark plus an Average line (plain mean over benchmarks) when any
+/// column is averaged. Prints no timing, so outputs diff cleanly.
+inline int pivot_table_main(int argc, const char* const* argv,
+                            const char* title,
+                            const std::vector<PivotColumn>& cols) {
+  const auto suite = parse_suite(argc, argv);
+  const util::Args args(argc, argv);
+  print_header(title);
+
+  const auto names = pick(workloads::iscas85_names(), suite);
+  sweep::Grid grid;
+  grid.benchmarks = names;
+  grid.seeds = {suite.seed};
+  grid.split_layers = {3, 4, 5};
+  grid.defenses.clear();
+  for (const auto& c : cols)
+    if (std::find(grid.defenses.begin(), grid.defenses.end(), c.defense) ==
+        grid.defenses.end())
+      grid.defenses.push_back(c.defense);
+  grid.attackers = {sweep::Attacker::Proximity};
+  grid.scale = suite.scale;
+  const auto result = sweep::run(grid, sweep_options(suite, args));
+  const auto means = result.means();
+
+  std::vector<std::string> header = {"Benchmark"};
+  for (const auto& c : cols) header.push_back(c.title);
+  util::Table table(header);
+  std::vector<double> sums(cols.size(), 0.0);
+  for (const auto& name : names) {
+    std::vector<std::string> row = {name};
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      const double v =
+          means.at({name, cols[i].defense, sweep::Attacker::Proximity}).*
+          cols[i].field;
+      row.push_back(util::Table::pct(100 * v, 1));
+      sums[i] += v;
+    }
+    table.add_row(row);
+  }
+  const bool any_averaged = std::any_of(
+      cols.begin(), cols.end(), [](const PivotColumn& c) { return c.averaged; });
+  if (any_averaged && !names.empty()) {
+    const double n = static_cast<double>(names.size());
+    std::vector<std::string> row = {"Average"};
+    for (std::size_t i = 0; i < cols.size(); ++i)
+      row.push_back(cols[i].averaged ? util::Table::pct(100 * sums[i] / n, 1)
+                                     : "");
+    table.add_separator();
+    table.add_row(row);
+  }
+  std::fputs(table.render().c_str(), stdout);
+  std::printf("\n%zu cells (%zu computed, %zu from store)\n",
+              result.rows.size(), result.computed_cells,
+              result.resumed_cells);
+  return 0;
 }
 
 }  // namespace sm::bench

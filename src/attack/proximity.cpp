@@ -4,16 +4,13 @@
 #include "netlist/topo.hpp"
 #include "util/grid_index.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -179,8 +176,8 @@ struct Cand {
 /// driver is provably worse than the current k-th candidate, so the result
 /// equals the brute-force scan. Small instances (or exotic negative
 /// weights that void the bound) use brute force directly. Immutable after
-/// construction: concurrent cheapest()/ranking() calls from the
-/// candidate-generation shards are safe (per-thread visit scratch).
+/// construction; the visit scratch is per thread, so attacks running on
+/// different sweep workers never share it.
 class CandidateFinder {
  public:
   CandidateFinder(const Netlist& feol, const SplitView& view,
@@ -242,7 +239,7 @@ class CandidateFinder {
       all.resize(k);
       return all;
     }
-    // Per-worker scratch deduplicating multi-vpin drivers within a query.
+    // Per-thread scratch deduplicating multi-vpin drivers within a query.
     // Purely an intra-query visited set — nothing carries across queries,
     // so results stay independent of which thread (or epoch) served them.
     static thread_local std::vector<std::uint32_t> mark;
@@ -323,20 +320,6 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
   const std::size_t nd = drv_frag_ids.size();
   const std::size_t ns = snk_frag_ids.size();
 
-  // One pool for every sharded phase (candidate generation, repair
-  // orderings); fresh-pool-per-batch would violate thread_pool.hpp's
-  // hot-loop guidance. Serial when jobs resolves to 1.
-  const std::size_t jobs = util::resolve_jobs(opts.jobs, std::max(ns, nd));
-  std::optional<util::ThreadPool> pool;
-  if (jobs > 1) pool.emplace(jobs);
-  const auto pfor = [&](std::size_t n,
-                        const std::function<void(std::size_t)>& fn) {
-    if (pool && n > 1)
-      pool->parallel_for(n, fn);
-    else
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-  };
-
   // Sink pins the attacker must recover (everything else is FEOL-visible).
   // Sorted flat vector: queried in the per-driver budget loops and the
   // scoring pass, where a node-based set's allocations would dominate.
@@ -385,18 +368,15 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
   }
 
   // Candidate edges: the k cheapest driver fragments per sink fragment,
-  // queried through the spatial index (brute force for small nd) and
-  // sharded per sink — each query writes only its own slot, so the lists
-  // are identical for any jobs value.
+  // queried through the spatial index (brute force for small nd).
   const CandidateFinder finder(feol, view, drv_frag_ids, opts);
   const std::size_t k =
       opts.candidates_per_sink <= 0
           ? nd
           : std::min(nd, static_cast<std::size_t>(opts.candidates_per_sink));
   std::vector<std::vector<Cand>> per_sink(ns);
-  pfor(ns, [&](std::size_t si) {
+  for (std::size_t si = 0; si < ns; ++si)
     per_sink[si] = finder.cheapest(view.fragments[snk_frag_ids[si]], k);
-  });
 
   // Min-cost flow: source -> sink-fragments (cap 1) -> candidate drivers
   // (cap 1 each edge) -> drivers -> target (cap = fanout budget).
@@ -570,20 +550,12 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
       if (!done) exhausted.push_back(si);
     }
     // Stage 2 (rare): sinks whose every cached candidate closes a loop get
-    // the full cost ranking — computed in parallel (pure function of the
-    // view), then committed serially in sink order.
-    if (!exhausted.empty()) {
-      std::vector<std::vector<Cand>> full(exhausted.size());
-      pfor(exhausted.size(), [&](std::size_t j) {
-        full[j] = finder.ranking(view.fragments[snk_frag_ids[exhausted[j]]]);
-      });
-      for (std::size_t j = 0; j < exhausted.size(); ++j) {
-        const std::size_t si = exhausted[j];
-        for (const auto& c : full[j]) {
-          if (creates_loop(si, c.di)) continue;
-          commit(si, c.di);
-          break;
-        }
+    // the full cost ranking, committed in sink order.
+    for (const std::size_t si : exhausted) {
+      for (const auto& c : finder.ranking(view.fragments[snk_frag_ids[si]])) {
+        if (creates_loop(si, c.di)) continue;
+        commit(si, c.di);
+        break;
       }
     }
   }
@@ -630,7 +602,7 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
   recovered.validate();
   if (netlist::is_acyclic(recovered)) {
     result.rates = sim::compare(original, recovered, opts.eval_patterns,
-                                opts.seed, opts.jobs, opts.sim_lanes);
+                                opts.seed, /*jobs=*/1, opts.sim_lanes);
   } else {
     // Should not happen with loop checks on; report total failure honestly.
     result.rates.oer = 1.0;

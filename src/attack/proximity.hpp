@@ -26,10 +26,9 @@
 // Scale: candidate generation ranks driver fragments per sink through a
 // util::GridIndex over the driver fragments' vpins (expanding-ring queries
 // with an exact pair_cost lower bound), turning the O(ns*nd) all-pairs scan
-// into O(ns*k) for large instances, and shards the per-sink queries — plus
-// the repair orderings and the OER/HD simulation blocks — over
-// ProximityOptions::jobs worker threads. Metrics are bit-identical for any
-// jobs value and for indexed vs brute-force candidate generation.
+// into O(ns*k) for large instances. Metrics are bit-identical for indexed
+// vs brute-force candidate generation. One attack runs on one thread:
+// parallelism lives a level up, in the sweep's cells (sweep/sweep.hpp).
 #pragma once
 
 #include "core/randomizer.hpp"
@@ -68,11 +67,6 @@ struct ProximityOptions {
   bool use_load = true;
   std::size_t eval_patterns = 100000;  ///< for OER/HD of the recovered netlist
   std::uint64_t seed = 7;
-  /// Worker threads (0 = hardware concurrency) sharding candidate
-  /// generation, the repair-ordering scan, and the OER/HD simulation.
-  /// Results are bit-identical for every value — no attack randomness may
-  /// depend on the executing thread.
-  std::size_t jobs = 1;
   /// Build the spatial vpin index when at least this many open driver
   /// fragments exist; below it (or when exotic negative weights void the
   /// index's cost lower bound) candidates come from the brute-force scan.

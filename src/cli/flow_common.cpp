@@ -38,9 +38,8 @@ FlowSetup parse_setup(const util::Args& args) {
 
   // Layout-engine knobs, strictly validated like the sweep's numeric flags
   // (get_count throws on anything but plain digits). --jobs parallelizes
-  // the router's net re-routes — and, for attack/report, the attack
-  // phases too; the phases run one after another, so this never stacks
-  // thread pools. All results are bit-identical for any --jobs value.
+  // the router's net re-routes only (the attack runs on one thread); all
+  // results are bit-identical for any --jobs value.
   s.flow.router.jobs = args.get_count("jobs", 1);
   const std::size_t route_passes = args.get_count(
       "route-passes", static_cast<std::size_t>(s.flow.router.passes));

@@ -70,7 +70,8 @@ int usage(std::FILE* to) {
       "            identical assignment\n"
       "            [--sim-lanes=N] simulation lane width 1|4|8 (0 = auto);\n"
       "            OER/HD are bit-identical for any lane width\n"
-      "            (results are bit-identical for any --jobs value)\n"
+      "            (--jobs shards the router only; the attack runs on one\n"
+      "            thread; results are bit-identical for any --jobs value)\n"
       "  report    protected vs unprotected security + PPA table\n"
       "            [--jobs=N] [--index-threshold=N]\n"
       "  sweep     parallel attack sweep over {benchmarks x seeds x split\n"
@@ -78,8 +79,8 @@ int usage(std::FILE* to) {
       "            for any --jobs value\n"
       "            [--jobs=N] [--grid=SPEC] [--benchmarks=a,b] [--seeds=1,2]\n"
       "            [--splits=3,4,5] [--defenses=unprotected,proposed,\n"
-      "              place-perturb,g-color,g-type1,g-type2,pin-swap,\n"
-      "              route-perturb,route-blockage]\n"
+      "              place-perturb,g-random,g-color,g-type1,g-type2,\n"
+      "              pin-swap,route-perturb,route-blockage]\n"
       "            [--attackers=proximity,crouting,sat] attacker axis:\n"
       "            network-flow proximity, crouting (concerted-routing\n"
       "            candidate lists), sat (proximity + SAT/sim equivalence\n"
@@ -126,8 +127,8 @@ int usage(std::FILE* to) {
       "  --patterns=N     simulation patterns for OER/HD (default 100000)\n"
       "  --target-oer=F   randomization stop threshold (default 0.995)\n"
       "  --buffering      enable post-placement drive-strength fixing\n"
-      "  --jobs=N         worker threads (router re-routes; attack phases\n"
-      "                   for attack/report; sweep tasks). 0 = hardware\n"
+      "  --jobs=N         worker threads (router re-routes; sweep tasks).\n"
+      "                   0 = hardware\n"
       "  --route-passes=N router rip-up-and-reroute rounds (default 3)\n"
       "  --detailed-passes=N  placer refinement sweeps (default M6 2, M8 1)\n",
       to);
@@ -172,9 +173,8 @@ attack::ProximityOptions attack_options(const util::Args& args,
   a.use_strength_prior = args.get_bool("strength-prior", false);
   a.candidates_per_sink =
       static_cast<int>(args.get_int("candidates", a.candidates_per_sink));
-  // Sharding + spatial-index knobs; CCR/OER/HD are bit-identical for any
-  // --jobs value and for indexed vs brute-force candidate generation.
-  a.jobs = args.get_count("jobs", 1);
+  // Spatial-index knob; CCR/OER/HD are bit-identical for indexed vs
+  // brute-force candidate generation.
   a.index_min_drivers =
       static_cast<int>(args.get_int("index-threshold", a.index_min_drivers));
   // Solver + lane knobs: metrics are bit-identical across both (the warm

@@ -54,6 +54,7 @@ std::string cell_config_json(const Grid& grid, const Options& opts,
     w.key("baseline").begin_object();
     switch (defense) {
       case Defense::PlacePerturb:
+      case Defense::GRandom:
       case Defense::GColor:
       case Defense::GType1:
       case Defense::GType2:

@@ -61,7 +61,7 @@ core::PerturbStrategy perturb_strategy(Defense d) {
     case Defense::GColor: return core::PerturbStrategy::GColor;
     case Defense::GType1: return core::PerturbStrategy::GType1;
     case Defense::GType2: return core::PerturbStrategy::GType2;
-    default: return core::PerturbStrategy::Random;
+    default: return core::PerturbStrategy::Random;  // place-perturb, g-random
   }
 }
 
@@ -124,6 +124,7 @@ void run_task(const Task& t, const Grid& grid, const Options& opts,
       break;
     }
     case Defense::PlacePerturb:
+    case Defense::GRandom:
     case Defense::GColor:
     case Defense::GType1:
     case Defense::GType2: {
@@ -320,6 +321,7 @@ const char* to_string(Defense d) {
     case Defense::PinSwap: return "pin-swap";
     case Defense::RoutePerturb: return "route-perturb";
     case Defense::RouteBlockage: return "route-blockage";
+    case Defense::GRandom: return "g-random";
   }
   return "unprotected";
 }
@@ -328,6 +330,7 @@ Defense defense_from_string(const std::string& name) {
   if (name == "unprotected" || name == "original") return Defense::Unprotected;
   if (name == "proposed" || name == "protected") return Defense::Proposed;
   if (name == "place-perturb") return Defense::PlacePerturb;
+  if (name == "g-random") return Defense::GRandom;
   if (name == "g-color") return Defense::GColor;
   if (name == "g-type1") return Defense::GType1;
   if (name == "g-type2") return Defense::GType2;
@@ -336,8 +339,8 @@ Defense defense_from_string(const std::string& name) {
   if (name == "route-blockage") return Defense::RouteBlockage;
   throw std::invalid_argument(
       "sweep: unknown defense '" + name +
-      "' (want unprotected|proposed|place-perturb|g-color|g-type1|g-type2|"
-      "pin-swap|route-perturb|route-blockage)");
+      "' (want unprotected|proposed|place-perturb|g-random|g-color|g-type1|"
+      "g-type2|pin-swap|route-perturb|route-blockage)");
 }
 
 bool is_baseline(Defense d) {
@@ -345,16 +348,18 @@ bool is_baseline(Defense d) {
 }
 
 BaselineRecipe baseline_recipe(Defense d) {
-  // The bench-harness parameter precedents: Table 4 perturbs 5% of gates
-  // within 0.1 die widths for Wang [5] and 25% within 0.2 for the Sengupta
-  // strategies [8]; Table 5 swaps max(4, nets/50) pins [3] and elevates 15%
-  // of the nets [12]; Table 6 scatters 5 blockages of die/14 up to M4 [7].
+  // The paper-table parameters: Table 4 perturbs 5% of gates within 0.1
+  // die widths for Wang [5] and 25% within 0.2 for the Sengupta strategies
+  // [8] (Fig. 6 prices the same g-random / g-type1 layouts); Table 5 swaps
+  // max(4, nets/50) pins [3] and elevates 15% of the nets [12]; Table 6
+  // scatters 5 blockages of die/14 up to M4 [7].
   BaselineRecipe r;
   switch (d) {
     case Defense::PlacePerturb:
       r.fraction = 0.05;
       r.radius_frac = 0.1;
       break;
+    case Defense::GRandom:
     case Defense::GColor:
     case Defense::GType1:
     case Defense::GType2:
@@ -509,34 +514,36 @@ util::Table Result::table() const {
   return t;
 }
 
-util::Table Result::summary() const {
-  struct Acc {
-    double ccr = 0, ccr_prot = 0, oer = 0, hd = 0;
-    std::size_t n = 0;
-  };
-  // std::map keeps the summary ordering deterministic and readable
-  // (alphabetical benchmark, defenses then attackers in enum order).
-  std::map<std::tuple<std::string, int, int>, Acc> acc;
+std::map<MeansKey, Means> Result::means() const {
+  std::map<MeansKey, Means> out;
   for (const auto& r : rows) {
-    auto& a = acc[{r.benchmark, static_cast<int>(r.defense),
-                   static_cast<int>(r.attacker)}];
-    a.ccr += r.ccr;
-    a.ccr_prot += r.ccr_protected;
-    a.oer += r.oer;
-    a.hd += r.hd;
-    ++a.n;
+    Means& m = out[{r.benchmark, r.defense, r.attacker}];
+    m.ccr += r.ccr;
+    m.ccr_protected += r.ccr_protected;
+    m.oer += r.oer;
+    m.hd += r.hd;
+    ++m.cells;
   }
+  for (auto& [key, m] : out) {
+    const double n = static_cast<double>(m.cells);
+    m.ccr /= n;
+    m.ccr_protected /= n;
+    m.oer /= n;
+    m.hd /= n;
+  }
+  return out;
+}
+
+util::Table Result::summary() const {
   util::Table t({"Benchmark", "Defense", "Attacker", "CCR", "CCR(rand)",
                  "OER", "HD", "Cells"});
-  for (const auto& [key, a] : acc) {
-    const double n = static_cast<double>(a.n);
-    t.add_row({std::get<0>(key),
-               to_string(static_cast<Defense>(std::get<1>(key))),
-               to_string(static_cast<Attacker>(std::get<2>(key))),
-               util::Table::pct(100 * a.ccr / n, 1),
-               util::Table::pct(100 * a.ccr_prot / n, 1),
-               util::Table::pct(100 * a.oer / n, 1),
-               util::Table::pct(100 * a.hd / n, 1), util::Table::count(a.n)});
+  for (const auto& [key, m] : means()) {
+    const auto& [benchmark, defense, attacker] = key;
+    t.add_row({benchmark, to_string(defense), to_string(attacker),
+               util::Table::pct(100 * m.ccr, 1),
+               util::Table::pct(100 * m.ccr_protected, 1),
+               util::Table::pct(100 * m.oer, 1),
+               util::Table::pct(100 * m.hd, 1), util::Table::count(m.cells)});
   }
   return t;
 }

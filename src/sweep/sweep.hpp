@@ -53,15 +53,19 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace sm::sweep {
 
 /// Layout/defense configuration attacked by a sweep cell. Beyond the
 /// paper's own flow the axis covers the prior-art baselines of
-/// core/baselines.hpp, so every comparison row of Tables 4/5/6 is one
-/// reproducible grid cell.
+/// core/baselines.hpp, so every comparison column of Tables 4/5 is one
+/// reproducible grid cell (bench_table4/5 are pivots over sweep rows) and
+/// Table 6's blockage baseline shares its recipe with the route-blockage
+/// cells. Values are appended, never reordered: summary() sorts by them.
 enum class Defense {
   Unprotected,    ///< plain layout of the original netlist
   Proposed,       ///< the paper's randomize + correct + lift flow
@@ -72,21 +76,22 @@ enum class Defense {
   PinSwap,        ///< Rajendran [3]: real connection swaps, BEOL-corrected
   RoutePerturb,   ///< Wang [12]: net elevation/detour above the split
   RouteBlockage,  ///< Magana [7]: lateral blockages force wires upward
+  GRandom,        ///< Sengupta [8]: random swaps at the G-strategy budget
 };
 
 const char* to_string(Defense d);
 /// Parse a defense name ("unprotected"/"original", "proposed"/"protected",
-/// "place-perturb", "g-color", "g-type1", "g-type2", "pin-swap",
-/// "route-perturb", "route-blockage"). Throws std::invalid_argument
-/// otherwise.
+/// "place-perturb", "g-random", "g-color", "g-type1", "g-type2",
+/// "pin-swap", "route-perturb", "route-blockage"). Throws
+/// std::invalid_argument otherwise.
 Defense defense_from_string(const std::string& name);
 
 /// True for the prior-art baselines (everything but Unprotected/Proposed).
 bool is_baseline(Defense d);
 
-/// The fixed recipe parameters of a baseline defense — the bench-harness
-/// precedents (Tables 4/5/6), centralized so the run loop and the config
-/// hash can never disagree. Sizes that depend on the instance (swap count,
+/// The fixed recipe parameters of a baseline defense — the paper-table
+/// settings (Tables 4/5/6, Fig. 6), centralized so the run loop, the config
+/// hash and the hand-written Table 6 / Fig. 6 benches can never disagree. Sizes that depend on the instance (swap count,
 /// blockage size) are expressed as rules (divisors), not absolutes: the
 /// rule is what the hash covers.
 struct BaselineRecipe {
@@ -227,6 +232,17 @@ struct Row {
   double wall_ms = 0.0;
 };
 
+/// Mean metrics of the rows sharing one (benchmark, defense, attacker),
+/// averaged over seeds and split layers.
+struct Means {
+  double ccr = 0.0;
+  double ccr_protected = 0.0;
+  double oer = 0.0;
+  double hd = 0.0;
+  std::size_t cells = 0;  ///< rows averaged
+};
+using MeansKey = std::tuple<std::string, Defense, Attacker>;
+
 struct Result {
   /// Grid-major: benchmark, seed, defense, split, attacker (innermost).
   /// Under sharding, only the cells of this shard's tasks (grid-major
@@ -261,8 +277,12 @@ struct Result {
 
   /// Per-row table (one line per grid cell).
   util::Table table() const;
-  /// Mean CCR/OER/HD per (benchmark, defense), averaged over seeds and
-  /// split layers — the shape the paper's Tables 4/5 report.
+  /// Mean CCR/OER/HD per (benchmark, defense, attacker), averaged over
+  /// seeds and split layers — the numbers the paper's Tables 4/5 report.
+  /// Each mean sums its rows in row order, then divides by their count.
+  std::map<MeansKey, Means> means() const;
+  /// means() as a table: benchmarks alphabetical, then defenses and
+  /// attackers in enum order.
   util::Table summary() const;
   std::string to_csv() const;
   std::string to_json() const;

@@ -156,34 +156,6 @@ TEST_F(AttackTest, PinSwapBaselineWeakerThanProposed) {
   EXPECT_GT(res_swap.ccr(), res_prop.ccr() + 0.3);
 }
 
-TEST_F(AttackTest, JobsBitIdenticalOnRealLayout) {
-  // End-to-end version of the ISSUE-4 determinism criterion: the sharded
-  // attack (candidate generation + repair orderings + sim blocks) on an
-  // actual routed layout is bit-identical to the serial run, with the
-  // spatial index forced on.
-  const Netlist original = bench();
-  const auto layout = core::layout_original(original, flow());
-  const auto view = core::split_layout(original, layout.placement,
-                                       layout.routing, layout.tasks,
-                                       layout.num_net_tasks, 3);
-  attack::ProximityOptions opts = quick_attack();
-  opts.index_min_drivers = 0;
-  opts.jobs = 1;
-  const auto serial = attack::proximity_attack(original, original,
-                                               layout.placement, view,
-                                               nullptr, opts);
-  opts.jobs = 4;
-  const auto parallel = attack::proximity_attack(original, original,
-                                                 layout.placement, view,
-                                                 nullptr, opts);
-  EXPECT_EQ(serial.open_sinks, parallel.open_sinks);
-  EXPECT_EQ(serial.matched, parallel.matched);
-  EXPECT_EQ(serial.correct, parallel.correct);
-  EXPECT_EQ(serial.rates.oer, parallel.rates.oer);
-  EXPECT_EQ(serial.rates.hd, parallel.rates.hd);
-  EXPECT_EQ(serial.rates.patterns, parallel.rates.patterns);
-}
-
 // ISSUE-10: the warm-started MCMF repair loop (one live solver across
 // loop-repair rounds, only the removed arcs re-routed) must produce the
 // IDENTICAL assignment — not merely equal cost — as the cold path that

@@ -234,7 +234,7 @@ TEST(AttackUnits, LoadBudgetTracksSinkCapacitance) {
   EXPECT_EQ(correct_with_sinks("INV_X1"), 1u);
 }
 
-/// Randomized many-fragment view for the spatial-index and sharding tests:
+/// Randomized many-fragment view for the spatial-index tests:
 /// `nd` PI-driven nets (open driver fragments) and `nsk` INV sinks (open
 /// sink fragments, true driver = net j % nd), fragments scattered uniformly
 /// with 1-3 vpins each (random offsets exercise the index's spread slack,
@@ -357,25 +357,6 @@ TEST(AttackUnits, SpatialIndexMatchesBruteForceWithAllHints) {
   };
   EXPECT_TRUE(
       same_result(run(std::numeric_limits<int>::max()), run(0)));
-}
-
-TEST(AttackUnits, JobsDoNotChangeResults) {
-  // ISSUE-4 acceptance: N-job attack bit-identical to 1 job, with the
-  // spatial index active (threshold 0) and inactive.
-  RandomRig rig(90, 120, 21);
-  attack::ProximityOptions opts;
-  opts.eval_patterns = 9000;  // spans multiple sim blocks
-  opts.candidates_per_sink = 8;
-  for (const int threshold : {0, std::numeric_limits<int>::max()}) {
-    opts.index_min_drivers = threshold;
-    opts.jobs = 1;
-    const auto serial =
-        attack::proximity_attack(rig.nl, rig.nl, rig.pl, rig.view, nullptr, opts);
-    opts.jobs = 4;
-    const auto parallel =
-        attack::proximity_attack(rig.nl, rig.nl, rig.pl, rig.view, nullptr, opts);
-    EXPECT_TRUE(same_result(serial, parallel)) << "threshold " << threshold;
-  }
 }
 
 TEST(AttackUnits, EmptyViewIsPerfectScore) {

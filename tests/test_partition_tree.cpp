@@ -174,12 +174,14 @@ TEST(PartitionTreeTest, CrossingNetsStayAtBranch) {
   EXPECT_GE(right, 40u);
 }
 
-/// Byte-level equality of two routing results (mirrors test_route.cpp).
+/// Byte-level equality of two routing results: per-net ids, success flags
+/// and exact segment lists, plus the aggregate stats and overflow count.
 void expect_identical_routing(const RoutingResult& a, const RoutingResult& b) {
   ASSERT_EQ(a.routes.size(), b.routes.size());
   for (std::size_t i = 0; i < a.routes.size(); ++i) {
     const auto& ra = a.routes[i];
     const auto& rb = b.routes[i];
+    EXPECT_EQ(ra.net, rb.net);
     EXPECT_EQ(ra.success, rb.success);
     ASSERT_EQ(ra.segments.size(), rb.segments.size()) << "net index " << i;
     for (std::size_t s = 0; s < ra.segments.size(); ++s) {

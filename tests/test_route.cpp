@@ -217,74 +217,9 @@ TEST_F(RouterTest, CongestionSpreadsTraffic) {
   EXPECT_LE(res.stats.overflowed_gcells, 2u);
 }
 
-/// Byte-level equality of two routing results: per-net success flags and
-/// exact segment lists, plus the aggregate stats and overflow count.
-void expect_identical_routing(const RoutingResult& a, const RoutingResult& b) {
-  ASSERT_EQ(a.routes.size(), b.routes.size());
-  for (std::size_t i = 0; i < a.routes.size(); ++i) {
-    const auto& ra = a.routes[i];
-    const auto& rb = b.routes[i];
-    EXPECT_EQ(ra.net, rb.net);
-    EXPECT_EQ(ra.success, rb.success);
-    ASSERT_EQ(ra.segments.size(), rb.segments.size()) << "net index " << i;
-    for (std::size_t s = 0; s < ra.segments.size(); ++s) {
-      EXPECT_EQ(ra.segments[s].a, rb.segments[s].a) << "net " << i;
-      EXPECT_EQ(ra.segments[s].b, rb.segments[s].b) << "net " << i;
-    }
-  }
-  EXPECT_EQ(a.stats.total_vias(), b.stats.total_vias());
-  EXPECT_DOUBLE_EQ(a.stats.total_wire_um(), b.stats.total_wire_um());
-  EXPECT_EQ(a.stats.failed_nets, b.stats.failed_nets);
-  EXPECT_EQ(a.stats.overflowed_gcells, b.stats.overflowed_gcells);
-}
-
-// The tentpole guarantee: routing the partition tree's subtrees over any
-// number of workers yields byte-identical routes — jobs only changes wall
-// time.
-TEST_F(RouterTest, JobsDoNotChangeRoutes) {
-  CellLibrary lib;
-  const auto nl = sm::workloads::generate(
-      lib, sm::workloads::iscas85_profile("c880"), 5);
-  sm::place::Placer placer;
-  const auto pl = placer.place(nl);
-  const auto tasks = make_tasks(nl, pl);
-
-  RouterOptions opts;
-  opts.gcell_um = 1.4;  // fine grid so negotiation actually has work to do
-  opts.passes = 4;
-  opts.jobs = 1;
-  const auto serial = Router(opts).route(tasks, pl.floorplan.die, lib.metal());
-  for (const std::size_t jobs : {2u, 8u}) {
-    opts.jobs = jobs;
-    const auto sharded =
-        Router(opts).route(tasks, pl.floorplan.die, lib.metal());
-    expect_identical_routing(serial, sharded);
-  }
-}
-
-// Congested corridor under parallel routing: the greedy keep/rip selection
-// and the live-congestion commits must stay byte-identical when every
-// round actually rips and re-routes nets.
-TEST_F(RouterTest, JobsDoNotChangeCongestedRoutes) {
-  std::vector<RouteTask> tasks;
-  for (int i = 0; i < 48; ++i) {
-    RouteTask t;
-    t.net = static_cast<sm::netlist::NetId>(i);
-    const double y = 14.0 + (i % 12) * 2.8;
-    t.terminals = {{{2, y}, 1}, {{54, y}, 1}};
-    tasks.push_back(std::move(t));
-  }
-  RouterOptions opts;
-  opts.passes = 6;
-  opts.jobs = 1;
-  const auto serial = Router(opts).route(tasks, die, stack);
-  opts.jobs = 8;
-  const auto sharded = Router(opts).route(tasks, die, stack);
-  expect_identical_routing(serial, sharded);
-}
-
 // The per-net tie-break streams must depend on the router seed (different
-// seeds may legitimately break ties differently) but never on jobs.
+// seeds may legitimately break ties differently). Routes never depend on
+// jobs: tests/test_partition_tree.cpp holds that contract.
 TEST_F(RouterTest, TieJitterIsSeededAndBounded) {
   RouteTask t;
   t.net = 0;

@@ -81,6 +81,8 @@ TEST(StoreAxes, GoldenBaselineDefenseHashesAreStableAcrossReleases) {
       {Defense::PinSwap, "4a2bbf3b093375f7"},
       {Defense::RoutePerturb, "2513d3cf496620b0"},
       {Defense::RouteBlockage, "be86064cb3829030"},
+      // Added with the g-random axis value (no earlier release had it).
+      {Defense::GRandom, "0573991c6e54dc4b"},
   };
   for (const auto& [defense, pin] : pins)
     EXPECT_EQ(hash_of(grid, opts, defense, Attacker::Proximity), pin)
@@ -156,13 +158,13 @@ TEST(StoreAxes, HashCoversTheAttackerCoordinate) {
                    sweep::Defense::PlacePerturb, sweep::Defense::GColor,
                    sweep::Defense::GType1, sweep::Defense::GType2,
                    sweep::Defense::PinSwap, sweep::Defense::RoutePerturb,
-                   sweep::Defense::RouteBlockage};
+                   sweep::Defense::RouteBlockage, sweep::Defense::GRandom};
   grid.attackers = {sweep::Attacker::Proximity, sweep::Attacker::CRouting,
                     sweep::Attacker::Sat};
   sweep::Options opts;
   opts.patterns = 2000;
   const auto cells = sweep::expand_cells(grid, opts);
-  ASSERT_EQ(cells.size(), 27u);
+  ASSERT_EQ(cells.size(), 30u);
   for (std::size_t i = 0; i < cells.size(); ++i)
     for (std::size_t j = i + 1; j < cells.size(); ++j)
       EXPECT_NE(cells[i].config_hash, cells[j].config_hash)

@@ -244,6 +244,48 @@ TEST(Sweep, ExportsContainEveryRow) {
   EXPECT_EQ(res.rows[0].wall_ms, res.rows[1].wall_ms);
 }
 
+// Result::means() — the numbers behind summary() and the Table 4/5 bench
+// pivots — is the plain average of each (benchmark, defense, attacker)
+// group's rows, summed in row order. The `sm_flow sweep --quick` grid
+// (c432 + c880, unprotected + proposed, 2000 patterns), at all three of the
+// tables' splits so each group averages more than one row.
+TEST(Sweep, MeansAreTheAverageOfEachGroupsRows) {
+  sweep::Grid grid;
+  grid.benchmarks = {"c432", "c880"};
+  grid.split_layers = {3, 4, 5};
+  sweep::Options opts;
+  opts.patterns = 2000;
+  opts.jobs = 2;
+  const auto res = sweep::run(grid, opts);
+  ASSERT_EQ(res.rows.size(), 12u);
+
+  sweep::Means hand;
+  for (const auto& r : res.rows) {
+    if (r.benchmark != "c880" || r.defense != sweep::Defense::Proposed)
+      continue;
+    hand.ccr += r.ccr;
+    hand.ccr_protected += r.ccr_protected;
+    hand.oer += r.oer;
+    hand.hd += r.hd;
+    ++hand.cells;
+  }
+  ASSERT_EQ(hand.cells, 3u);
+
+  const auto means = res.means();
+  EXPECT_EQ(means.size(), 4u);  // 2 benchmarks x 2 defenses x 1 attacker
+  const sweep::Means& m = means.at(
+      {"c880", sweep::Defense::Proposed, sweep::Attacker::Proximity});
+  EXPECT_EQ(m.cells, 3u);
+  EXPECT_EQ(m.ccr, hand.ccr / 3);
+  EXPECT_EQ(m.ccr_protected, hand.ccr_protected / 3);
+  EXPECT_EQ(m.oer, hand.oer / 3);
+  EXPECT_EQ(m.hd, hand.hd / 3);
+
+  // summary() renders exactly these means.
+  const std::string summary = res.summary().render();
+  EXPECT_NE(summary.find(util::Table::pct(100 * m.hd, 1)), std::string::npos);
+}
+
 TEST(Sweep, RejectsInvalidShardAndResumeOptions) {
   sweep::Grid grid;
   grid.benchmarks = {"c432"};
