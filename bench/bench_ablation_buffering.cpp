@@ -8,7 +8,9 @@
 #include "attack/proximity.hpp"
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sm;
   const auto suite = bench::parse_suite(argc, argv);
   bench::print_header("Ablation: drive-strength hint (BUFX8 argument)");
@@ -65,4 +67,10 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.render().c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sm::bench::guarded_main(argc, argv, run);
 }

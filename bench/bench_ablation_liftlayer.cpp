@@ -8,7 +8,9 @@
 #include "common.hpp"
 #include "metrics/report.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sm;
   const auto suite = bench::parse_suite(argc, argv);
   bench::print_header("Ablation: correction-cell pin layer (lift layer)");
@@ -58,4 +60,10 @@ int main(int argc, char** argv) {
       "permit splitting after higher layers, which lowers the commercial\n"
       "cost of split manufacturing (paper Sec. 1/6).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sm::bench::guarded_main(argc, argv, run);
 }

@@ -20,7 +20,9 @@
 //   --resume           skip cells already present in --store
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sm;
   const auto suite = bench::parse_suite(argc, argv);
   util::Args args(argc, argv);
@@ -47,4 +49,10 @@ int main(int argc, char** argv) {
       result.rows.size(), result.computed_cells, result.resumed_cells,
       result.jobs, result.wall_ms);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sm::bench::guarded_main(argc, argv, run);
 }

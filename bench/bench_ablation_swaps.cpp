@@ -6,7 +6,9 @@
 #include "attack/proximity.hpp"
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sm;
   const auto suite = bench::parse_suite(argc, argv);
   bench::print_header("Ablation: swap budget vs security and PPA cost");
@@ -65,4 +67,10 @@ int main(int argc, char** argv) {
               design.ledger.entries.size(), 100 * design.oer,
               100 * design.hd);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sm::bench::guarded_main(argc, argv, run);
 }

@@ -5,7 +5,9 @@
 #include "common.hpp"
 #include "metrics/report.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sm;
   const auto suite = bench::parse_suite(argc, argv);
   bench::print_header("Fig. 4: driver/sink distance distribution (superblue18)");
@@ -38,4 +40,10 @@ int main(int argc, char** argv) {
   show("(b) Naively lifted", lifted.layout.placement);
   show("(c) Proposed", design.layout.placement);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sm::bench::guarded_main(argc, argv, run);
 }

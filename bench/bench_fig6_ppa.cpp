@@ -8,7 +8,9 @@
 // placer (longer wires everywhere instead of targeted lifting).
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sm;
   const auto suite = bench::parse_suite(argc, argv);
   bench::print_header(
@@ -27,7 +29,9 @@ int main(int argc, char** argv) {
     const auto flow = sweep::task_flow(name, sweep::Workload::Iscas85,
                                        suite.seed, suite.scale);
 
-    const auto original = core::layout_original(nl, flow);
+    // One placement serves the original layout and both [8] baselines.
+    const auto placed = core::place_design(nl, flow);
+    const auto original = core::route_design(nl, placed, flow);
     core::RandomizeOptions r = sweep::task_randomize(suite.seed);
     r.max_swaps = std::max<std::size_t>(4, nl.num_gates() / 40);
     const auto design =
@@ -36,7 +40,7 @@ int main(int argc, char** argv) {
     // [8] at the sweep's g-random / g-type1 recipes.
     const auto perturbed = [&](sweep::Defense d, core::PerturbStrategy st) {
       const auto r = sweep::baseline_recipe(d);
-      return core::layout_placement_perturbed(nl, flow, st, r.fraction,
+      return core::layout_placement_perturbed(nl, flow, placed, st, r.fraction,
                                               suite.seed, r.radius_frac);
     };
     const auto rand8 =
@@ -80,4 +84,10 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.render().c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sm::bench::guarded_main(argc, argv, run);
 }

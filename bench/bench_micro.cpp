@@ -40,15 +40,14 @@ void BM_Simulation64Patterns(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 
-// BM_CompareOerHd / BM_CompareThroughputJobs pin lanes=1 (the pre-ISSUE-10
-// scalar word path) so the rigs stay comparable across releases; the
-// *Lanes variants below sweep the wide-word widths. OER/HD are
-// bit-identical for every lane width (tests/test_sim.cpp) — only the wall
-// time moves.
+// BM_CompareOerHd pins lanes=1 (the scalar word path) so the rig stays
+// comparable across releases; the *Lanes variants below compare it with
+// the wide-word width. OER/HD are bit-identical for both lane widths
+// (tests/test_sim.cpp) — only the wall time moves.
 void BM_CompareOerHd(benchmark::State& state) {
   const auto nl = make_bench("c880");
   for (auto _ : state) {
-    const auto r = sim::compare(nl, nl, 4096, 3, 1, 1);
+    const auto r = sim::compare(nl, nl, 4096, 3, 1);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -58,24 +57,9 @@ void BM_CompareOerHdLanes(benchmark::State& state) {
   const auto nl = make_bench("c880");
   const std::size_t lanes = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    const auto r = sim::compare(nl, nl, 4096, 3, 1, lanes);
+    const auto r = sim::compare(nl, nl, 4096, 3, lanes);
     benchmark::DoNotOptimize(r);
   }
-}
-
-// Sim throughput of the block-parallel compare path: patterns/second over
-// the per-block task_seed streams. Arg = worker threads (results are
-// bit-identical across them; only the wall time moves).
-void BM_CompareThroughputJobs(benchmark::State& state) {
-  const auto nl = make_bench("c2670");
-  const std::size_t jobs = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kPatterns = 65536;
-  for (auto _ : state) {
-    const auto r = sim::compare(nl, nl, kPatterns, 3, jobs, 1);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kPatterns));
 }
 
 // Serial wide-word throughput: Arg = lane width.
@@ -84,7 +68,7 @@ void BM_CompareThroughputLanes(benchmark::State& state) {
   const std::size_t lanes = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kPatterns = 65536;
   for (auto _ : state) {
-    const auto r = sim::compare(nl, nl, kPatterns, 3, 1, lanes);
+    const auto r = sim::compare(nl, nl, kPatterns, 3, lanes);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -335,9 +319,8 @@ void BM_GridIndexKNearest(benchmark::State& state) {
 
 BENCHMARK(BM_Simulation64Patterns);
 BENCHMARK(BM_CompareOerHd);
-BENCHMARK(BM_CompareOerHdLanes)->Arg(1)->Arg(4)->Arg(8);
-BENCHMARK(BM_CompareThroughputJobs)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-BENCHMARK(BM_CompareThroughputLanes)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_CompareOerHdLanes)->Arg(1)->Arg(8);
+BENCHMARK(BM_CompareThroughputLanes)->Arg(1)->Arg(8);
 BENCHMARK(BM_Randomize);
 BENCHMARK(BM_Place);
 BENCHMARK(BM_Route);

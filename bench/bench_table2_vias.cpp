@@ -10,7 +10,9 @@
 #include "common.hpp"
 #include "metrics/report.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sm;
   const auto suite = bench::parse_suite(argc, argv);
   bench::print_header(
@@ -63,4 +65,10 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.render().c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sm::bench::guarded_main(argc, argv, run);
 }

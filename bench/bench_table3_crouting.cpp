@@ -7,7 +7,9 @@
 #include "attack/crouting.hpp"
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace sm;
   const auto suite = bench::parse_suite(argc, argv);
   bench::print_header("Table 3: crouting attack (vpins and E[LS])");
@@ -58,4 +60,10 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.render().c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sm::bench::guarded_main(argc, argv, run);
 }

@@ -16,7 +16,9 @@
 // table resumable.
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using sm::sweep::Defense;
   using M = sm::sweep::Means;
   return sm::bench::pivot_table_main(
@@ -35,4 +37,10 @@ int main(int argc, char** argv) {
        {"Prop CCR", Defense::Proposed, &M::ccr_protected, true},
        {"Prop OER", Defense::Proposed, &M::oer, true},
        {"Prop HD", Defense::Proposed, &M::hd, true}});
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sm::bench::guarded_main(argc, argv, run);
 }

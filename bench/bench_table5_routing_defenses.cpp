@@ -13,7 +13,9 @@
 // table resumable.
 #include "common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using sm::sweep::Defense;
   using M = sm::sweep::Means;
   return sm::bench::pivot_table_main(
@@ -30,4 +32,10 @@ int main(int argc, char** argv) {
        {"Prop CCR", Defense::Proposed, &M::ccr_protected},
        {"Prop OER", Defense::Proposed, &M::oer},
        {"Prop HD", Defense::Proposed, &M::hd}});
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sm::bench::guarded_main(argc, argv, run);
 }

@@ -17,7 +17,8 @@
 //
 //   The sweep front ends add --store=<path> / --resume (sweep_options()).
 //   Retired flags (parse_suite's `removed` list) are rejected instead of
-//   being ignored.
+//   being ignored: like every error, they print one `error:` line and exit
+//   1 (guarded_main).
 //
 //   The suite tuning itself is the sweep's flow recipe (sweep::task_flow /
 //   sweep::task_randomize), so the benches, sm_flow and the sweep lay out
@@ -36,6 +37,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -90,6 +92,18 @@ inline sweep::Options sweep_options(const SuiteOptions& s,
   opts.store_path = args.get("store", "");
   opts.resume = args.get_bool("resume", false);
   return opts;
+}
+
+/// main() of every bench around its body `run`: an exception escaping it
+/// (a retired flag, --resume without --store, an unknown benchmark) prints
+/// one `error:` line on stderr and exits 1, as sm_flow does.
+inline int guarded_main(int argc, char** argv, int (*run)(int, char**)) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }
 
 inline std::vector<std::string> pick(const std::vector<std::string>& all,

@@ -7,8 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -117,9 +115,6 @@ double pair_cost(const Netlist& feol, const Fragment& drv,
     const double mismatch = std::abs(std::log((actual + 1.0) / (expected + 1.0)));
     prior_factor += opts.strength_prior_weight * std::min(mismatch, 2.0);
   }
-  // Hint (i): gate placement proximity (anchor = driver/sink gate location).
-  const double anchor_term =
-      opts.anchor_weight * util::manhattan(drv.anchor, snk.anchor);
   double best = util::manhattan(frag_anchor(drv), frag_anchor(snk)) + 1.0;
   auto consider = [&](const core::VPin& d, const core::VPin& s) {
     const double vx = s.pos.x - d.pos.x;
@@ -146,11 +141,10 @@ double pair_cost(const Netlist& feol, const Fragment& drv,
     }
     best = std::min(best, dist * factor);
   };
-  if (drv.vpins.empty() || snk.vpins.empty())
-    return best * prior_factor + anchor_term;
+  if (drv.vpins.empty() || snk.vpins.empty()) return best * prior_factor;
   for (const auto& dv : drv.vpins)
     for (const auto& sv : snk.vpins) consider(dv, sv);
-  return best * prior_factor + anchor_term;
+  return best * prior_factor;
 }
 
 /// One candidate pairing; per-sink lists are sorted by (cost, di) — the
@@ -174,10 +168,10 @@ struct Cand {
 /// valid because every distance pair_cost can be built from starts at one
 /// of the driver's indexed points. The query stops once every unvisited
 /// driver is provably worse than the current k-th candidate, so the result
-/// equals the brute-force scan. Small instances (or exotic negative
-/// weights that void the bound) use brute force directly. Immutable after
-/// construction; the visit scratch is per thread, so attacks running on
-/// different sweep workers never share it.
+/// equals the brute-force scan. Small instances (or hint weights that void
+/// the bound, e.g. direction_bonus below ~0.3) use brute force directly.
+/// Immutable after construction; the visit scratch is per thread, so
+/// attacks running on different sweep workers never share it.
 class CandidateFinder {
  public:
   CandidateFinder(const Netlist& feol, const SplitView& view,
@@ -202,7 +196,7 @@ class CandidateFinder {
           std::min(1.0, 1.0 + 2.0 * opts.strength_prior_weight);
     use_index_ = nd >= static_cast<std::size_t>(
                            std::max(1, opts.index_min_drivers)) &&
-                 cost_floor_ > 0.0 && opts.anchor_weight >= 0.0;
+                 cost_floor_ > 0.0;
     if (!use_index_) return;
     std::vector<Point> points;
     for (std::size_t di = 0; di < nd; ++di) {
@@ -457,7 +451,6 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
     // loop terminates.
     std::vector<char> removed(refs.size(), 0);
     std::vector<std::size_t> chosen;
-    const bool debug_rounds = std::getenv("SM_MCMF_DEBUG") != nullptr;
     std::vector<std::size_t> current(ns, static_cast<std::size_t>(-1));
     for (;;) {
       chosen.clear();
@@ -501,17 +494,6 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
             feol.net(view.fragments[drv_frag_ids[r.di]].net).driver;
         for (const auto& s : view.fragments[snk_frag_ids[r.si]].sinks)
           hyp.add_edge(drv, s.cell);
-      }
-      if (debug_rounds) {
-        std::uint64_t h = 1469598103934665603ull;
-        for (const std::size_t i : chosen) {
-          h = (h ^ refs[i].si) * 1099511628211ull;
-          h = (h ^ refs[i].di) * 1099511628211ull;
-        }
-        fprintf(stderr,
-                "round: chosen=%zu bad=%zu flow=%d cost=%.15f hash=%016llx\n",
-                chosen.size(), bad.size(), flow.flow(), flow.cost(),
-                static_cast<unsigned long long>(h));
       }
       if (bad.empty()) break;  // commits stand
       for (const std::size_t i : bad) removed[i] = 1;
@@ -601,8 +583,8 @@ ProximityResult proximity_attack(const Netlist& feol, const Netlist& original,
 
   recovered.validate();
   if (netlist::is_acyclic(recovered)) {
-    result.rates = sim::compare(original, recovered, opts.eval_patterns,
-                                opts.seed, /*jobs=*/1, opts.sim_lanes);
+    result.rates =
+        sim::compare(original, recovered, opts.eval_patterns, opts.seed);
   } else {
     // Should not happen with loop checks on; report total failure honestly.
     result.rates.oer = 1.0;

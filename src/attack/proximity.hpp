@@ -45,11 +45,6 @@ namespace sm::attack {
 struct ProximityOptions {
   int candidates_per_sink = 16;   ///< nearest driver fragments considered
   double direction_bonus = 0.75;  ///< cost factor when dangling wires align
-  /// Weight of gate-to-gate placement distance added to the vpin-to-vpin
-  /// cost (hint (i): the placer put truly connected gates close together).
-  /// Empirically the vpin geometry dominates, so this defaults off; it is
-  /// kept as an ablation knob.
-  double anchor_weight = 0.0;
   /// Cost factor for vpin pairs sharing a routing track (straight BEOL
   /// bridges are the most plausible continuation).
   double track_bonus = 0.5;
@@ -68,8 +63,8 @@ struct ProximityOptions {
   std::size_t eval_patterns = 100000;  ///< for OER/HD of the recovered netlist
   std::uint64_t seed = 7;
   /// Build the spatial vpin index when at least this many open driver
-  /// fragments exist; below it (or when exotic negative weights void the
-  /// index's cost lower bound) candidates come from the brute-force scan.
+  /// fragments exist; below it (or when the hint weights void the index's
+  /// cost lower bound) candidates come from the brute-force scan.
   /// Both paths rank by (pair_cost, driver index) and return identical
   /// candidate sets — the index only skips provably-too-far drivers.
   int index_min_drivers = 64;
@@ -82,13 +77,10 @@ struct ProximityOptions {
   /// Warm-start the min-cost-flow solver across loop-repair rounds (the
   /// removed edges' imbalances re-route against the carried-over
   /// potentials). Off forces a cold rebuild of the reduced network per
-  /// round — same assignment, strictly more work; kept as the equality
-  /// oracle for the cold==warm rig tests.
+  /// round — same assignment, strictly more work; no production caller
+  /// sets it: it is the equality oracle of the cold==warm rig tests
+  /// (tests/test_attack.cpp WarmColdRig) and BM_AttackCandidatesColdMcmf.
   bool mcmf_warm = true;
-  /// SIMD lane width (uint64 words evaluated together) for the OER/HD
-  /// simulation: 1, 4, or 8; 0 picks sim::kDefaultSimLanes. Results are
-  /// byte-identical for every value.
-  std::size_t sim_lanes = 0;
 };
 
 struct ProximityResult {

@@ -3,19 +3,24 @@
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
+#include <utility>
 
 namespace sm::cli {
 
 FlowSetup parse_setup(const util::Args& args) {
   // util::Args ignores unknown keys: without this check a script still
-  // selecting the retired rounds scheduler would silently get a different
-  // layout.
-  for (const char* removed : {"route-partition", "partition-depth"})
-    if (args.has(removed))
-      throw std::invalid_argument(
-          std::string("--") + removed +
-          " was removed: the partition tree is the only router "
-          "scheduler and sets its own fan-out depth");
+  // passing a retired flag would silently get a different layout or
+  // attack than it asked for.
+  const std::pair<const char*, const char*> removed[] = {
+      {"route-partition", "the partition tree is the only router scheduler"},
+      {"partition-depth", "the router sets its own fan-out depth"},
+      {"mcmf", "the attack always warm-starts its min-cost-flow solver"},
+      {"sim-lanes", "the simulator always runs its 8-word lanes"},
+  };
+  for (const auto& [flag, why] : removed)
+    if (args.has(flag))
+      throw std::invalid_argument(std::string("--") + flag +
+                                  " was removed: " + why);
 
   FlowSetup s;
   s.bench = args.get("bench", s.bench);

@@ -64,12 +64,6 @@ int usage(std::FILE* to) {
       "  attack    proximity attack on the FEOL; CCR/OER/HD\n"
       "            [--unprotected] [--no-direction] [--no-load] [--no-loops]\n"
       "            [--candidates=N] [--jobs=N] [--index-threshold=N]\n"
-      "            [--mcmf=warm|cold] loop-repair solver: warm keeps one\n"
-      "            live min-cost-flow and re-routes only removed arcs\n"
-      "            (default), cold rebuilds each round; both produce the\n"
-      "            identical assignment\n"
-      "            [--sim-lanes=N] simulation lane width 1|4|8 (0 = auto);\n"
-      "            OER/HD are bit-identical for any lane width\n"
       "            (--jobs shards the router only; the attack runs on one\n"
       "            thread; results are bit-identical for any --jobs value)\n"
       "  report    protected vs unprotected security + PPA table\n"
@@ -177,17 +171,6 @@ attack::ProximityOptions attack_options(const util::Args& args,
   // brute-force candidate generation.
   a.index_min_drivers =
       static_cast<int>(args.get_int("index-threshold", a.index_min_drivers));
-  // Solver + lane knobs: metrics are bit-identical across both (the warm
-  // MCMF and every lane width reproduce the cold/scalar results exactly —
-  // test- and CI-enforced), so these only move the wall clock.
-  const std::string mcmf = args.get("mcmf", "warm");
-  if (mcmf == "warm")
-    a.mcmf_warm = true;
-  else if (mcmf == "cold")
-    a.mcmf_warm = false;
-  else
-    throw std::invalid_argument("--mcmf must be 'warm' or 'cold'");
-  a.sim_lanes = static_cast<std::size_t>(args.get_int("sim-lanes", 0));
   return a;
 }
 

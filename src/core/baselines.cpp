@@ -1,56 +1,16 @@
 #include "core/baselines.hpp"
 
-#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 namespace sm::core {
 
 using netlist::CellId;
-using netlist::CellLibrary;
 using netlist::NetId;
 using netlist::Netlist;
-
-namespace {
-
-timing::PpaReport quick_ppa(const Netlist& nl, const LayoutResult& layout,
-                            const FlowOptions& opts) {
-  timing::Sta sta(opts.op);
-  const auto activity =
-      sim::toggle_rates(nl, opts.activity_patterns, opts.seed ^ 0xac7ULL);
-  return sta.analyze(nl, layout.placement, layout.routing, activity);
-}
-
-void route_layout(const Netlist& nl, LayoutResult& layout,
-                  const FlowOptions& opts,
-                  const std::vector<int>& min_layer = {}) {
-  layout.tasks = route::make_tasks(nl, layout.placement, min_layer);
-  layout.num_net_tasks = layout.tasks.size();
-  route::RouterOptions ropts = opts.router;
-  ropts.gcell_um = tuned_gcell_um(opts, layout.placement.floorplan);
-  route::Router router(ropts);
-  layout.routing = router.route(layout.tasks, layout.placement.floorplan.die,
-                                nl.library().metal());
-  layout.ppa = quick_ppa(nl, layout, opts);
-}
-
-}  // namespace
-
-LayoutResult layout_placement_perturbed(const Netlist& nl,
-                                        const FlowOptions& opts,
-                                        PerturbStrategy strategy,
-                                        double fraction, std::uint64_t seed,
-                                        double radius_frac) {
-  // Self-placing entry point: place directly (no buffering stage), exactly
-  // as before the PlacedDesign overload existed.
-  place::Placer placer(opts.placer);
-  PlacedDesign placed;
-  placed.placement = placer.place(nl);
-  return layout_placement_perturbed(nl, opts, placed, strategy, fraction, seed,
-                                    radius_frac);
-}
 
 LayoutResult layout_placement_perturbed(const Netlist& nl,
                                         const FlowOptions& opts,
@@ -59,11 +19,10 @@ LayoutResult layout_placement_perturbed(const Netlist& nl,
                                         double fraction, std::uint64_t seed,
                                         double radius_frac) {
   const Netlist& phys = placed.physical(nl);
-  LayoutResult out;
-  out.placement = placed.placement;
+  PlacedDesign perturbed = placed;
+  place::Placement& pl = perturbed.placement;
   util::Rng rng(seed ^ 0x9137ULL);
-  const double radius =
-      radius_frac * out.placement.floorplan.die.width();
+  const double radius = radius_frac * pl.floorplan.die.width();
 
   // Candidate classes: gates are only swapped with gates of the same class.
   auto class_of = [&](CellId id) -> std::uint64_t {
@@ -96,18 +55,16 @@ LayoutResult layout_placement_perturbed(const Netlist& nl,
       if (used[i]) continue;
       for (std::size_t j = i + 1; j < members.size(); ++j) {
         if (used[j]) continue;
-        if (util::manhattan(out.placement.pos[members[i]],
-                            out.placement.pos[members[j]]) > radius)
+        if (util::manhattan(pl.pos[members[i]], pl.pos[members[j]]) > radius)
           continue;
-        std::swap(out.placement.pos[members[i]], out.placement.pos[members[j]]);
+        std::swap(pl.pos[members[i]], pl.pos[members[j]]);
         used[i] = used[j] = true;
         ++done;
         break;
       }
     }
   }
-  route_layout(phys, out, opts);
-  return out;
+  return route_design(nl, std::move(perturbed), opts);
 }
 
 SwappedLayout layout_pin_swapped(const Netlist& nl, const FlowOptions& opts,
@@ -123,19 +80,12 @@ SwappedLayout layout_pin_swapped(const Netlist& nl, const FlowOptions& opts,
   out.erroneous = std::move(rr.erroneous);
   out.ledger = std::move(rr.ledger);
 
-  place::Placer placer(opts.placer);
-  out.layout.placement = placer.place(out.erroneous);
-  route_layout(out.erroneous, out.layout, opts);
-  return out;
-}
-
-LayoutResult layout_routing_perturbed(const Netlist& nl,
-                                      const FlowOptions& opts, double fraction,
-                                      int elevate_to, std::uint64_t seed) {
-  place::Placer placer(opts.placer);
+  // Placed without place_design's buffering stage, so the layout
+  // implements `erroneous` cell for cell and the ledger's ids stay valid.
   PlacedDesign placed;
-  placed.placement = placer.place(nl);
-  return layout_routing_perturbed(nl, opts, placed, fraction, elevate_to, seed);
+  placed.placement = place::Placer(opts.placer).place(out.erroneous);
+  out.layout = route_design(out.erroneous, std::move(placed), opts);
+  return out;
 }
 
 LayoutResult layout_routing_perturbed(const Netlist& nl,
@@ -144,26 +94,12 @@ LayoutResult layout_routing_perturbed(const Netlist& nl,
                                       double fraction, int elevate_to,
                                       std::uint64_t seed) {
   const Netlist& phys = placed.physical(nl);
-  LayoutResult out;
-  out.placement = placed.placement;
   util::Rng rng(seed ^ 0x7712ULL);
   std::vector<int> min_layer(phys.num_nets(), 1);
   for (NetId n = 0; n < phys.num_nets(); ++n)
     if (!phys.net(n).sinks.empty() && rng.chance(fraction))
       min_layer[n] = elevate_to;
-  route_layout(phys, out, opts, min_layer);
-  return out;
-}
-
-LayoutResult layout_routing_blockage(const Netlist& nl,
-                                     const FlowOptions& opts,
-                                     int num_blockages, double size_um,
-                                     int max_layer, std::uint64_t seed) {
-  place::Placer placer(opts.placer);
-  PlacedDesign placed;
-  placed.placement = placer.place(nl);
-  return layout_routing_blockage(nl, opts, placed, num_blockages, size_um,
-                                 max_layer, seed);
+  return route_design(nl, placed, opts, min_layer);
 }
 
 LayoutResult layout_routing_blockage(const Netlist& nl,
@@ -171,21 +107,16 @@ LayoutResult layout_routing_blockage(const Netlist& nl,
                                      const PlacedDesign& placed,
                                      int num_blockages, double size_um,
                                      int max_layer, std::uint64_t seed) {
-  const Netlist& phys = placed.physical(nl);
-  LayoutResult out;
-  out.placement = placed.placement;
   util::Rng rng(seed ^ 0xb10cULL);
-
   FlowOptions blocked = opts;
-  const auto& die = out.placement.floorplan.die;
+  const auto& die = placed.placement.floorplan.die;
   for (int i = 0; i < num_blockages; ++i) {
     const double x = rng.uniform(die.lo.x, die.hi.x - size_um);
     const double y = rng.uniform(die.lo.y, die.hi.y - size_um);
     blocked.router.blockages.push_back(
         {util::Rect{{x, y}, {x + size_um, y + size_um}}, 1, max_layer});
   }
-  route_layout(phys, out, blocked, {});
-  return out;
+  return route_design(nl, placed, blocked);
 }
 
 }  // namespace sm::core

@@ -2,7 +2,12 @@
 //
 // The paper quotes the original publications' numbers; we additionally
 // *implement* each mechanism so the benches can measure all defenses under
-// one attack harness on the same benchmarks:
+// one attack harness on the same benchmarks. Every baseline routes through
+// the staged pipeline's `route_design` (core/pipeline.hpp). The ones that
+// keep the netlist take a stage-1 `PlacedDesign` (`place_design`, or the
+// sweep's cached `LayoutCache::placed`), so a buffered placement keeps its
+// sized netlist in `LayoutResult::sized_netlist`; pin swapping places its
+// own erroneous netlist.
 //
 //  - Placement perturbation, Wang et al. [5]: selectively swap gate
 //    locations after placement (netlist untouched).
@@ -26,23 +31,13 @@ namespace sm::core {
 
 enum class PerturbStrategy { Random, GColor, GType1, GType2 };
 
-/// [5]/[8]: place the netlist, then swap the locations of `fraction` of the
-/// gates within the strategy's candidate classes, and re-route. Swaps are
-/// bounded to `radius_frac` of the die width — the published schemes bound
+/// [5]/[8]: swap the locations of `fraction` of the placed gates within the
+/// strategy's candidate classes, and route. Swaps are bounded to
+/// `radius_frac` of the die width — the published schemes bound
 /// displacement to keep the layout routable, which is also why they only
-/// dent the proximity signal instead of destroying it.
-///
-/// Each placement-consuming baseline has two entry points: the original
-/// self-placing signature, and an overload taking a shared stage-1
-/// `PlacedDesign` (what `sweep` feeds from `LayoutCache::placed` so one
-/// placement serves every baseline defense of a (bench, seed) pair). The
-/// self-placing form places directly — bit-identical to its pre-overload
-/// behavior — and the overload perturbs a *copy* of the given placement.
-LayoutResult layout_placement_perturbed(const netlist::Netlist& nl,
-                                        const FlowOptions& opts,
-                                        PerturbStrategy strategy,
-                                        double fraction, std::uint64_t seed,
-                                        double radius_frac = 0.2);
+/// dent the proximity signal instead of destroying it. Perturbs a *copy*
+/// of `placed`, so one placement serves every baseline defense of a
+/// (bench, seed) pair.
 LayoutResult layout_placement_perturbed(const netlist::Netlist& nl,
                                         const FlowOptions& opts,
                                         const PlacedDesign& placed,
@@ -51,7 +46,8 @@ LayoutResult layout_placement_perturbed(const netlist::Netlist& nl,
                                         double radius_frac = 0.2);
 
 /// [3]: `num_swaps` real connection swaps (tracked in the ledger for BEOL
-/// correction), routed without lifting or correction cells.
+/// correction), placed (without buffering) and routed without lifting or
+/// correction cells.
 struct SwappedLayout {
   netlist::Netlist erroneous;
   SwapLedger ledger;
@@ -63,9 +59,6 @@ SwappedLayout layout_pin_swapped(const netlist::Netlist& nl,
 
 /// [12]: elevate and detour `fraction` of the nets above `elevate_to`.
 LayoutResult layout_routing_perturbed(const netlist::Netlist& nl,
-                                      const FlowOptions& opts, double fraction,
-                                      int elevate_to, std::uint64_t seed);
-LayoutResult layout_routing_perturbed(const netlist::Netlist& nl,
                                       const FlowOptions& opts,
                                       const PlacedDesign& placed,
                                       double fraction, int elevate_to,
@@ -73,10 +66,6 @@ LayoutResult layout_routing_perturbed(const netlist::Netlist& nl,
 
 /// [7]: scatter `num_blockages` square lateral blockages of `size_um` on
 /// layers up to `max_layer`, then route normally.
-LayoutResult layout_routing_blockage(const netlist::Netlist& nl,
-                                     const FlowOptions& opts,
-                                     int num_blockages, double size_um,
-                                     int max_layer, std::uint64_t seed);
 LayoutResult layout_routing_blockage(const netlist::Netlist& nl,
                                      const FlowOptions& opts,
                                      const PlacedDesign& placed,

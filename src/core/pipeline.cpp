@@ -3,6 +3,7 @@
 #include "sim/simulator.hpp"
 #include "util/config_hash.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace sm::core {
@@ -12,7 +13,10 @@ using netlist::Netlist;
 route::RouterOptions tuned_router(const FlowOptions& opts,
                                   const place::Floorplan& fp) {
   route::RouterOptions r = opts.router;
-  r.gcell_um = tuned_gcell_um(opts, fp);
+  if (opts.auto_gcell) {
+    const double dim = std::max(fp.die.width(), fp.die.height());
+    r.gcell_um = std::clamp(dim / 48.0, 1.0, 2.8);
+  }
   return r;
 }
 
@@ -104,17 +108,19 @@ PlacedDesign place_design(const Netlist& nl, const FlowOptions& opts) {
 }
 
 LayoutResult route_design(const Netlist& nl, const PlacedDesign& placed,
-                          const FlowOptions& opts) {
-  return route_design(nl, PlacedDesign(placed), opts);
+                          const FlowOptions& opts,
+                          const std::vector<int>& min_layer) {
+  return route_design(nl, PlacedDesign(placed), opts, min_layer);
 }
 
 LayoutResult route_design(const Netlist& nl, PlacedDesign&& placed,
-                          const FlowOptions& opts) {
+                          const FlowOptions& opts,
+                          const std::vector<int>& min_layer) {
   LayoutResult out;
   out.placement = std::move(placed.placement);
   out.sized_netlist = std::move(placed.sized);
   const Netlist& phys = out.sized_netlist ? *out.sized_netlist : nl;
-  out.tasks = route::make_tasks(phys, out.placement);
+  out.tasks = route::make_tasks(phys, out.placement, min_layer);
   out.num_net_tasks = out.tasks.size();
   route::Router router(tuned_router(opts, out.placement.floorplan));
   out.routing = router.route(out.tasks, out.placement.floorplan.die,

@@ -41,17 +41,23 @@ struct PlacedDesign {
 PlacedDesign place_design(const netlist::Netlist& nl, const FlowOptions& opts);
 
 /// Stage 2: route a placed design and evaluate its PPA. Deterministic in
-/// (nl, placed, opts); RouterOptions::jobs never changes the result.
-/// The const-ref overload copies the stage-1 products (what a cached,
-/// shared PlacedDesign needs); the rvalue overload moves them (the
-/// single-use layout_original path).
+/// (nl, placed, opts, min_layer); RouterOptions::jobs never changes the
+/// result. `min_layer` optionally holds a lowest routing layer per net of
+/// the physical netlist (route::make_tasks; empty = M1 for every net) —
+/// how the routing-perturbation baseline elevates its nets. The const-ref
+/// overload copies the stage-1 products (what a cached, shared PlacedDesign
+/// needs); the rvalue overload moves them (single-use placements).
 LayoutResult route_design(const netlist::Netlist& nl,
-                          const PlacedDesign& placed, const FlowOptions& opts);
+                          const PlacedDesign& placed, const FlowOptions& opts,
+                          const std::vector<int>& min_layer = {});
 LayoutResult route_design(const netlist::Netlist& nl, PlacedDesign&& placed,
-                          const FlowOptions& opts);
+                          const FlowOptions& opts,
+                          const std::vector<int>& min_layer = {});
 
-/// Router options tuned to a floorplan (the auto-gcell sizing rule).
-/// Shared by every stage that routes, including protect().
+/// Router options tuned to a floorplan: with FlowOptions::auto_gcell the
+/// gcell is die/48 (the larger die side), clamped to [1.0, 2.8] um;
+/// otherwise router.gcell_um verbatim. Shared by every stage that routes,
+/// including protect().
 route::RouterOptions tuned_router(const FlowOptions& opts,
                                   const place::Floorplan& fp);
 

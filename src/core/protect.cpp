@@ -16,12 +16,6 @@ using netlist::Netlist;
 using route::RouteTask;
 using route::Terminal;
 
-double tuned_gcell_um(const FlowOptions& opts, const place::Floorplan& fp) {
-  if (!opts.auto_gcell) return opts.router.gcell_um;
-  const double dim = std::max(fp.die.width(), fp.die.height());
-  return std::clamp(dim / 48.0, 1.0, 2.8);
-}
-
 LayoutResult layout_original(const Netlist& nl, const FlowOptions& opts) {
   // The unprotected reference is exactly the staged pipeline, stage by
   // stage: place (buffering included), then route + PPA.

@@ -36,8 +36,8 @@ struct FlowOptions {
   std::size_t activity_patterns = 4096;  ///< stimuli for power activities
   std::uint64_t seed = 1;
   /// Adapt the routing gcell to the die size (small ISCAS dies need a fine
-  /// grid or vpin positions quantize away the proximity signal). Set false
-  /// to honor router.gcell_um verbatim.
+  /// grid or vpin positions quantize away the proximity signal; the rule is
+  /// core::tuned_router's). Set false to honor router.gcell_um verbatim.
   bool auto_gcell = true;
   /// Post-placement repeater insertion (drive-strength fixing). On the
   /// erroneous netlist this bakes misleading buffer strengths into the FEOL
@@ -46,10 +46,6 @@ struct FlowOptions {
   bool buffering = false;
   place::BufferingOptions buffering_opts;
 };
-
-/// gcell sizing rule used when auto_gcell is on: roughly 80 gcells across
-/// the die, clamped to [0.7, 2.8] um.
-double tuned_gcell_um(const FlowOptions& opts, const place::Floorplan& fp);
 
 /// A placed-and-routed design with its PPA.
 struct LayoutResult {

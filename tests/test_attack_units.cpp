@@ -349,7 +349,6 @@ TEST(AttackUnits, SpatialIndexMatchesBruteForceWithAllHints) {
   opts.eval_patterns = 256;
   opts.candidates_per_sink = 6;
   opts.use_strength_prior = true;  // exercises the prior term of the bound
-  opts.anchor_weight = 0.1;        // and the anchor term
   auto run = [&](int threshold) {
     opts.index_min_drivers = threshold;
     return attack::proximity_attack(rig.nl, rig.nl, rig.pl, rig.view, nullptr,

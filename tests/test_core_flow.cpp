@@ -2,6 +2,7 @@
 // split views, restoration equivalence, and PPA accounting.
 #include "core/baselines.hpp"
 #include "core/correction.hpp"
+#include "core/pipeline.hpp"
 #include "core/protect.hpp"
 #include "core/split.hpp"
 #include "workloads/generator.hpp"
@@ -216,25 +217,53 @@ TEST_F(CoreFlowTest, BudgetLoopRespectsBudget) {
 
 TEST_F(CoreFlowTest, BaselinesProduceValidLayouts) {
   const Netlist original = bench();
+  const PlacedDesign placed = place_design(original, flow());
   const auto perturbed = layout_placement_perturbed(
-      original, flow(), PerturbStrategy::GType1, 0.15, 3);
+      original, flow(), placed, PerturbStrategy::GType1, 0.15, 3);
   EXPECT_EQ(perturbed.routing.stats.failed_nets, 0u);
 
   const auto swapped = layout_pin_swapped(original, flow(), 10, 3);
   EXPECT_EQ(swapped.ledger.entries.size(), 10u);
   EXPECT_EQ(swapped.layout.routing.stats.failed_nets, 0u);
 
-  const auto rperturb = layout_routing_perturbed(original, flow(), 0.1, 5, 3);
+  const auto rperturb =
+      layout_routing_perturbed(original, flow(), placed, 0.1, 5, 3);
   EXPECT_EQ(rperturb.routing.stats.failed_nets, 0u);
 
-  const auto blocked = layout_routing_blockage(original, flow(), 3, 8.0, 4, 3);
+  const auto blocked =
+      layout_routing_blockage(original, flow(), placed, 3, 8.0, 4, 3);
   EXPECT_EQ(blocked.routing.stats.failed_nets, 0u);
+}
+
+TEST_F(CoreFlowTest, BaselinesKeepTheSizedNetlistOfABufferedPlacement) {
+  // A buffered placement has more cells than the logical netlist; each
+  // baseline's layout must carry the sized netlist it implements, or
+  // physical(nl) no longer matches the placement and the routes.
+  const Netlist original = bench("c880", 2);
+  FlowOptions opts = flow();
+  opts.buffering = true;
+  opts.buffering_opts.hpwl_threshold_um = 15.0;
+  const PlacedDesign placed = place_design(original, opts);
+  ASSERT_TRUE(placed.sized.has_value());
+  ASSERT_GT(placed.sized->num_cells(), original.num_cells());
+  const std::size_t cells = placed.placement.pos.size();
+  const auto check = [&](const LayoutResult& layout, const char* what) {
+    EXPECT_EQ(layout.physical(original).num_cells(), cells) << what;
+  };
+  check(layout_routing_perturbed(original, opts, placed, 0.1, 5, 3),
+        "routing perturbation");
+  check(layout_placement_perturbed(original, opts, placed,
+                                   PerturbStrategy::GType1, 0.15, 3),
+        "placement perturbation");
+  check(layout_routing_blockage(original, opts, placed, 3, 8.0, 4, 3),
+        "routing blockage");
 }
 
 TEST_F(CoreFlowTest, BlockagesPushWiringUp) {
   const Netlist original = bench("c1908", 4);
   const auto orig = layout_original(original, flow());
-  const auto blocked = layout_routing_blockage(original, flow(), 6, 10.0, 4, 3);
+  const auto blocked = layout_routing_blockage(
+      original, flow(), place_design(original, flow()), 6, 10.0, 4, 3);
   double orig_high = 0, blocked_high = 0;
   for (int l = 5; l <= 10; ++l) {
     orig_high += orig.routing.stats.wire_um[static_cast<std::size_t>(l)];
