@@ -85,14 +85,11 @@ class CongestionState {
   CongestionState(const RouteGrid& grid, const MetalStack& stack,
                   const RouterOptions& opts)
       : grid_(&grid), opts_(&opts) {
-    const std::size_t n = grid.num_nodes();
-    usage_.assign(n, 0);
-    history_.assign(n, 0.0f);
+    node_.assign(grid.num_nodes(), Node{});
     cap_.resize(static_cast<std::size_t>(grid.layers()) + 1);
     for (int l = 1; l <= grid.layers(); ++l)
       cap_[static_cast<std::size_t>(l)] = grid.capacity(stack, l);
 
-    blocked_.assign(n, 0);
     for (const auto& b : opts.blockages) {
       const GridPoint lo = grid.snap(b.region.lo, 1);
       const GridPoint hi = grid.snap(b.region.hi, 1);
@@ -100,31 +97,32 @@ class CongestionState {
            l <= std::min(grid.layers(), b.max_layer); ++l)
         for (int y = lo.y; y <= hi.y; ++y)
           for (int x = lo.x; x <= hi.x; ++x)
-            blocked_[grid.index({x, y, l})] = 1;
+            node_[grid.index({x, y, l})].blocked = 1;
     }
   }
 
-  int capacity(int layer) const { return cap_[static_cast<std::size_t>(layer)]; }
-  int usage_at(std::size_t idx) const { return usage_[idx]; }
-  bool blocked(std::size_t idx) const { return blocked_[idx] != 0; }
+  bool blocked(std::size_t idx) const { return node_[idx].blocked != 0; }
 
   /// Would one more net through `idx` stay within the layer's capacity?
   bool fits(std::size_t idx, int layer) const {
-    return usage_[idx] + 1 <= cap_[static_cast<std::size_t>(layer)];
+    return node_[idx].usage + 1 <= cap_[static_cast<std::size_t>(layer)];
   }
 
   void add_usage(std::size_t idx, int delta) {
-    usage_[idx] = static_cast<std::int32_t>(usage_[idx] + delta);
+    node_[idx].usage = static_cast<std::int32_t>(node_[idx].usage + delta);
   }
 
-  void clear_usage() { std::fill(usage_.begin(), usage_.end(), 0); }
+  void clear_usage() {
+    for (auto& n : node_) n.usage = 0;
+  }
 
   /// PathFinder cost of stepping onto node `idx`. The present-overuse
   /// penalty grows with each negotiation round (set_pressure), the classic
   /// PathFinder schedule that forces convergence.
   double node_cost(std::size_t idx, int layer) const {
-    const int over = usage_[idx] + 1 - cap_[static_cast<std::size_t>(layer)];
-    double c = 1.0 + static_cast<double>(history_[idx]);
+    const Node& n = node_[idx];
+    const int over = n.usage + 1 - cap_[static_cast<std::size_t>(layer)];
+    double c = 1.0 + static_cast<double>(n.history);
     if (over > 0) c += opts_->overflow_penalty * pressure_ * over;
     return c;
   }
@@ -132,53 +130,73 @@ class CongestionState {
   void set_pressure(double p) { pressure_ = p; }
 
   void bump_history() {
-    for (std::size_t i = 0; i < usage_.size(); ++i) {
+    for (std::size_t i = 0; i < node_.size(); ++i) {
       const GridPoint g = grid_->at(i);
-      const int over = usage_[i] - cap_[static_cast<std::size_t>(g.layer)];
+      const int over = node_[i].usage - cap_[static_cast<std::size_t>(g.layer)];
       if (over > 0)
-        history_[i] += static_cast<float>(opts_->history_increment * over);
+        node_[i].history += static_cast<float>(opts_->history_increment * over);
     }
   }
 
   std::size_t count_overflow() const {
     std::size_t n = 0;
-    for (std::size_t i = 0; i < usage_.size(); ++i) {
+    for (std::size_t i = 0; i < node_.size(); ++i) {
       const GridPoint g = grid_->at(i);
-      if (usage_[i] > cap_[static_cast<std::size_t>(g.layer)]) ++n;
+      if (node_[i].usage > cap_[static_cast<std::size_t>(g.layer)]) ++n;
     }
     return n;
   }
 
  private:
+  /// Everything an A* relaxation reads about a node, in one record (one
+  /// cache line touch per relaxation instead of three).
+  struct Node {
+    std::int32_t usage = 0;
+    float history = 0.0f;
+    std::uint8_t blocked = 0;
+  };
+
   const RouteGrid* grid_;
   const RouterOptions* opts_;
-  std::vector<std::int32_t> usage_;
-  std::vector<float> history_;
-  std::vector<std::uint8_t> blocked_;
+  std::vector<Node> node_;
   std::vector<int> cap_;
   double pressure_ = 1.0;
 };
 
-/// Per-worker A* search state with epoch-stamped arrays, so repeated
+/// Per-worker A* search state with epoch-stamped records, so repeated
 /// searches cost O(visited), not O(grid). Reads the live CongestionState
 /// inside its window and never writes it (the caller commits). Which
 /// worker's Searcher routes which net is scheduling-dependent but provably
 /// irrelevant: every search bumps its epoch first, so no state of any
 /// previous search (on this or any other net) is ever read.
+///
+/// The open set is an indexed 4-ary min-heap holding each node at most
+/// once, ordered by (f, node). It pops exactly the node sequence of a lazy
+/// binary heap that pushed a fresh (f, node) pair on every improvement and
+/// skipped stale pops, because it keeps that heap's invariants:
+///   - a queued node's key is the *minimum* f ever pushed for it. g is
+///     stored as float, so a later strict improvement of the rounded g can
+///     carry a larger double f than an earlier push; the lazy heap would
+///     still pop the node at the earlier, smaller f (with the newer
+///     g/parent), so the key never increases while g/parent always follow
+///     the latest improvement;
+///   - a non-target node whose key orders after the best target key in
+///     the heap is not queued at all (its g/parent still update). Keys only
+///     decrease and only a pop removes a node, so that target pops — and
+///     ends the search — first. A later improvement re-checks the bound.
 class Searcher {
  public:
   Searcher(const RouteGrid& grid, const MetalStack& stack,
            const RouterOptions& opts, const CongestionState& cong)
       : grid_(&grid), opts_(&opts), cong_(&cong) {
     const std::size_t n = grid.num_nodes();
-    gscore_.assign(n, 0.0f);
-    parent_.assign(n, 0);
-    epoch_mark_.assign(n, 0);
-    closed_mark_.assign(n, 0);
-    target_mark_.assign(n, 0);
-    tree_mark_.assign(n, 0);
+    node_.assign(n, NodeState{});
+    in_tree_.assign(n, 0);
     wx1_ = grid.nx() - 1;
     wy1_ = grid.ny() - 1;
+    dy_ = static_cast<std::uint32_t>(grid.nx());
+    dl_ = static_cast<std::uint32_t>(grid.nx()) *
+          static_cast<std::uint32_t>(grid.ny());
     // Layer metadata resolved once: MetalStack::layer() is an out-of-line
     // call that shows up at 27M A* edge relaxations per sweep.
     preferred_.resize(static_cast<std::size_t>(grid.layers()) + 1);
@@ -203,123 +221,234 @@ class Searcher {
   /// scheduler sets each net's own inflated bbox here; that containment is
   /// what makes sibling subtrees non-interacting. The serial full-grid
   /// retry of nets that failed inside their window resets it to the grid.
+  /// The window always lies inside the grid (search relies on it).
   void set_window(const util::GridRect& w) {
-    wx0_ = w.x0;
-    wy0_ = w.y0;
-    wx1_ = w.x1;
-    wy1_ = w.y1;
+    wx0_ = std::max(0, w.x0);
+    wy0_ = std::max(0, w.y0);
+    wx1_ = std::min(grid_->nx() - 1, w.x1);
+    wy1_ = std::min(grid_->ny() - 1, w.y1);
   }
 
-  /// Epoch-stamped membership set for the net tree under construction —
-  /// O(1) insert/lookup where the previous router did a linear scan.
-  void tree_reset() { ++tree_epoch_; }
-  bool tree_add(std::size_t idx) {
-    if (tree_mark_[idx] == tree_epoch_) return false;
-    tree_mark_[idx] = tree_epoch_;
-    return true;
+  /// The net tree under construction: its nodes in insertion order, an
+  /// O(1) membership flag per node (cleared node by node on reset, so a
+  /// reset costs O(tree), not O(grid)) and the tree's lateral bbox, which
+  /// the A* heuristic aims at — the tree nodes are exactly the targets.
+  void tree_reset() {
+    for (const auto idx : tree_) in_tree_[idx] = 0;
+    tree_.clear();
+    tminx_ = tminy_ = std::numeric_limits<int>::max();
+    tmaxx_ = tmaxy_ = std::numeric_limits<int>::min();
   }
-  bool tree_has(std::size_t idx) const {
-    return tree_mark_[idx] == tree_epoch_;
+  void tree_add(std::size_t idx) {
+    if (in_tree_[idx]) return;
+    in_tree_[idx] = 1;
+    tree_.push_back(idx);
+    const GridPoint g = grid_->at(idx);
+    tminx_ = std::min(tminx_, g.x);
+    tmaxx_ = std::max(tmaxx_, g.x);
+    tminy_ = std::min(tminy_, g.y);
+    tmaxy_ = std::max(tmaxy_, g.y);
   }
+  bool tree_has(std::size_t idx) const { return in_tree_[idx] != 0; }
+  const std::vector<std::size_t>& tree() const { return tree_; }
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  /// A* from `start` to any node in `targets` (marked via target_mark_).
-  /// Layers below `min_layer` are off-limits. Returns the reached target
-  /// node or npos; parent_ encodes the path.
-  std::size_t search(std::size_t start, const std::vector<std::size_t>& targets,
-                     int min_layer) {
-    ++epoch_;
-    // Mark targets and compute their bbox for the heuristic.
-    tminx_ = tminy_ = std::numeric_limits<int>::max();
-    tmaxx_ = tmaxy_ = std::numeric_limits<int>::min();
-    for (const auto t : targets) {
-      closed_mark_[t] = 0;  // ensure not stale-closed
-      target_set_.push_back(t);
-      const GridPoint g = grid_->at(t);
-      tminx_ = std::min(tminx_, g.x);
-      tmaxx_ = std::max(tmaxx_, g.x);
-      tminy_ = std::min(tminy_, g.y);
-      tmaxy_ = std::max(tmaxy_, g.y);
-      target_mark_[t] = epoch_;
+  /// A* from `start` to any node of the current net tree (tree_add).
+  /// Layers below `min_layer` are off-limits. Returns the reached tree
+  /// node or npos; parents encode the path (backtrack).
+  std::size_t search(std::size_t start, int min_layer) {
+    if (epoch_ > std::numeric_limits<std::uint32_t>::max() - 3) {
+      for (auto& n : node_) n.stamp = 0;  // wrapped: forget every stamp
+      epoch_ = 0;
     }
+    epoch_ += 2;  // epoch_: seen this search; epoch_ + 1: closed
+    const std::uint32_t closed = epoch_ + 1;
+    ++work_.searches;
 
-    // Manual binary heap over a member buffer: a search allocates nothing
-    // once the buffer has grown (std::priority_queue would be a fresh
-    // vector per call — measurable at this call volume).
     heap_.clear();
-    gscore_[start] = 0.0f;
-    epoch_mark_[start] = epoch_;
-    parent_[start] = static_cast<std::uint32_t>(start);
-    heap_.emplace_back(heuristic(grid_->at(start)), start);
+    hole_ = false;
+    best_target_ = {std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<std::uint32_t>::max(), GridPoint{}};
+    const GridPoint sg = grid_->at(start);
+    NodeState& s0 = node_[start];
+    s0.g = 0.0f;
+    s0.parent = static_cast<std::uint32_t>(start);
+    s0.stamp = epoch_;
+    push({heuristic(sg), static_cast<std::uint32_t>(start), sg});
 
-    std::size_t found = npos;
+    const std::int32_t max_layer = grid_->layers();
     while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-      const auto [f, node] = heap_.back();
-      heap_.pop_back();
-      if (closed_mark_[node] == epoch_) continue;
-      closed_mark_[node] = epoch_;
-      if (target_mark_[node] == epoch_) {
-        found = node;
-        break;
-      }
-      const GridPoint g = grid_->at(node);
-      auto try_step = [&](const GridPoint& ng, double step_cost) {
-        if (!grid_->in_bounds(ng) || ng.layer < min_layer) return;
-        if (ng.x < wx0_ || ng.x > wx1_ || ng.y < wy0_ || ng.y > wy1_) return;
-        const std::size_t ni = grid_->index(ng);
-        // Blockages forbid lateral wiring; vias (layer changes) pass.
-        if (ng.layer == g.layer && cong_->blocked(ni)) return;
-        if (closed_mark_[ni] == epoch_) return;
-        const double ng_cost = static_cast<double>(gscore_[node]) + step_cost +
-                               cong_->node_cost(ni, ng.layer) + jitter(ni);
-        if (epoch_mark_[ni] == epoch_ &&
-            static_cast<double>(gscore_[ni]) <= ng_cost)
-          return;
-        epoch_mark_[ni] = epoch_;
-        gscore_[ni] = static_cast<float>(ng_cost);
-        parent_[ni] = static_cast<std::uint32_t>(node);
-        heap_.emplace_back(ng_cost + heuristic(ng), ni);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-      };
-      const auto dir = preferred_[static_cast<std::size_t>(g.layer)];
-      if (dir == netlist::Direction::Horizontal) {
-        try_step({g.x - 1, g.y, g.layer}, 0.0);
-        try_step({g.x + 1, g.y, g.layer}, 0.0);
-      } else {
-        try_step({g.x, g.y - 1, g.layer}, 0.0);
-        try_step({g.x, g.y + 1, g.layer}, 0.0);
-      }
-      try_step({g.x, g.y, g.layer - 1}, opts_->via_cost);
-      try_step({g.x, g.y, g.layer + 1}, opts_->via_cost);
-    }
+      const Entry top = heap_.front();
+      ++work_.heap_pops;
+      // The root becomes a hole that the first push of this expansion
+      // fills with one sift down, instead of a pop's sift down plus a
+      // push's sift up. -inf keeps a decrease-key's sift_up below it.
+      heap_.front().f = -std::numeric_limits<double>::infinity();
+      hole_ = true;
+      const std::uint32_t node = top.node;
+      node_[node].stamp = closed;
+      if (tree_has(node)) return node;
 
-    // Clear target marks for the next search.
-    for (const auto t : target_set_) target_mark_[t] = 0;
-    target_set_.clear();
-    return found;
+      const GridPoint g = top.at;
+      const double g_node = static_cast<double>(node_[node].g);
+      auto try_step = [&](std::uint32_t ni, const GridPoint& ng,
+                          double step_cost) {
+        NodeState& ns = node_[ni];
+        if (ns.stamp == closed) return;
+        const double ng_cost = g_node + step_cost +
+                               cong_->node_cost(ni, ng.layer) + jitter(ni);
+        const bool seen = ns.stamp == epoch_;
+        if (seen && static_cast<double>(ns.g) <= ng_cost) return;
+        ns.g = static_cast<float>(ng_cost);
+        ns.parent = node;
+        const Entry e{ng_cost + heuristic(ng), ni, ng};
+        if (!seen) {
+          ns.stamp = epoch_;
+          ns.slot = kNoSlot;
+        }
+        const bool target = tree_has(ni);
+        if (ns.slot == kNoSlot) {
+          if (!target && before(best_target_, e)) return;  // bounded push
+          push(e);
+        } else if (before(e, heap_[ns.slot])) {
+          heap_[ns.slot].f = e.f;  // decrease-key: keep the minimum f
+          sift_up(ns.slot);
+        } else {
+          return;
+        }
+        if (target && before(e, best_target_)) best_target_ = e;
+      };
+      // Lateral steps stay in the window (inside the grid) and off
+      // blockages; vias pass blockages and stay within [min_layer, top].
+      if (preferred_[static_cast<std::size_t>(g.layer)] ==
+          netlist::Direction::Horizontal) {
+        if (g.x > wx0_ && !cong_->blocked(node - 1))
+          try_step(node - 1, {g.x - 1, g.y, g.layer}, 0.0);
+        if (g.x < wx1_ && !cong_->blocked(node + 1))
+          try_step(node + 1, {g.x + 1, g.y, g.layer}, 0.0);
+      } else {
+        if (g.y > wy0_ && !cong_->blocked(node - dy_))
+          try_step(node - dy_, {g.x, g.y - 1, g.layer}, 0.0);
+        if (g.y < wy1_ && !cong_->blocked(node + dy_))
+          try_step(node + dy_, {g.x, g.y + 1, g.layer}, 0.0);
+      }
+      if (g.layer - 1 >= min_layer)
+        try_step(node - dl_, {g.x, g.y, g.layer - 1}, opts_->via_cost);
+      if (g.layer + 1 <= max_layer)
+        try_step(node + dl_, {g.x, g.y, g.layer + 1}, opts_->via_cost);
+      if (hole_) {  // nothing was pushed: close the hole with the last entry
+        hole_ = false;
+        const Entry last = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty()) sift_down(last);
+      }
+    }
+    return npos;
   }
 
   /// Walk parents from `node` back to the search start.
   std::vector<std::size_t> backtrack(std::size_t node) const {
     std::vector<std::size_t> path{node};
-    while (parent_[node] != node) {
-      node = parent_[node];
+    while (node_[node].parent != node) {
+      node = node_[node].parent;
       path.push_back(node);
     }
     return path;
   }
 
+  const RouterWork& work() const { return work_; }
+
  private:
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Per-node search state in one 16-byte record: the float g, the A*
+  /// parent, the epoch stamp (== epoch_: seen, == epoch_ + 1: closed,
+  /// anything else: untouched this search) and the heap slot (kNoSlot when
+  /// not queued; only meaningful while the stamp says seen).
+  struct NodeState {
+    float g = 0.0f;
+    std::uint32_t parent = 0;
+    std::uint32_t stamp = 0;
+    std::uint32_t slot = kNoSlot;
+  };
+
+  /// A heap entry carries the node's grid point, so a pop never divides
+  /// the index back into coordinates.
+  struct Entry {
+    double f;
+    std::uint32_t node;
+    GridPoint at;
+  };
+
+  /// The lazy heap's total order: by f, ties by node index.
+  /// Evaluated without short-circuit branches: the sift-down tournament
+  /// selects with conditional moves only if the compares do not branch.
+  static bool before(const Entry& a, const Entry& b) {
+    return (int{a.f < b.f} | (int{a.f == b.f} & int{a.node < b.node})) != 0;
+  }
+
+  void place(std::size_t pos, const Entry& e) {
+    heap_[pos] = e;
+    node_[e.node].slot = static_cast<std::uint32_t>(pos);
+  }
+
+  void push(const Entry& e) {
+    ++work_.heap_pushes;
+    if (hole_) {
+      hole_ = false;
+      sift_down(e);
+      return;
+    }
+    heap_.push_back(e);
+    sift_up(heap_.size() - 1);
+  }
+
+  void sift_up(std::size_t pos) {
+    const Entry e = heap_[pos];
+    while (pos > 0) {
+      const std::size_t up = (pos - 1) / 4;
+      if (!before(e, heap_[up])) break;
+      place(pos, heap_[up]);
+      pos = up;
+    }
+    place(pos, e);
+  }
+
+  /// Fill the root hole with `e` and sift it down to its place.
+  void sift_down(const Entry& e) {
+    const std::size_t n = heap_.size();
+    std::size_t pos = 0;
+    for (;;) {
+      const std::size_t first = 4 * pos + 1;
+      if (first >= n) break;
+      std::size_t best;
+      if (first + 4 <= n) {
+        // Tournament over the four children, branch-free: the compares
+        // are data-dependent coin flips the predictor cannot learn.
+        const Entry* c = &heap_[first];
+        const std::size_t a = before(c[1], c[0]) ? 1 : 0;
+        const std::size_t b = before(c[3], c[2]) ? 3 : 2;
+        best = first + (before(c[b], c[a]) ? b : a);
+      } else {
+        best = first;
+        for (std::size_t c = first + 1; c < n; ++c)
+          if (before(heap_[c], heap_[best])) best = c;
+      }
+      if (!before(heap_[best], e)) break;
+      place(pos, heap_[best]);
+      pos = best;
+    }
+    place(pos, e);
+  }
+
   /// Takes the point, not the index: callers already hold the GridPoint,
   /// and the at() division is real money at 27M relaxations per sweep.
   double heuristic(const GridPoint& g) const {
-    double h = 0;
-    if (g.x < tminx_) h += tminx_ - g.x;
-    if (g.x > tmaxx_) h += g.x - tmaxx_;
-    if (g.y < tminy_) h += tminy_ - g.y;
-    if (g.y > tmaxy_) h += g.y - tmaxy_;
+    // Exact small integers, so summing before the conversion is exact.
+    const int h = std::max(tminx_ - g.x, 0) + std::max(g.x - tmaxx_, 0) +
+                  std::max(tminy_ - g.y, 0) + std::max(g.y - tmaxy_, 0);
     return h;  // >= remaining steps, each of cost >= 1 (jitter only adds)
   }
 
@@ -339,17 +468,16 @@ class Searcher {
   const RouteGrid* grid_;
   const RouterOptions* opts_;
   const CongestionState* cong_;
-  std::vector<float> gscore_;
-  std::vector<std::uint32_t> parent_;
-  std::vector<std::uint32_t> epoch_mark_;
-  std::vector<std::uint32_t> closed_mark_;
-  std::vector<std::uint32_t> target_mark_;
-  std::vector<std::uint32_t> tree_mark_;
-  std::vector<std::size_t> target_set_;
-  std::vector<std::pair<double, std::size_t>> heap_;  ///< (f, node) min-heap
+  std::vector<NodeState> node_;
+  std::vector<std::size_t> tree_;      ///< net tree nodes, insertion order
+  std::vector<std::uint8_t> in_tree_;  ///< tree membership per node
+  std::vector<Entry> heap_;            ///< indexed 4-ary min-heap
+  Entry best_target_{};  ///< smallest target entry queued this search
+  bool hole_ = false;    ///< heap_[0] is the expanded node, awaiting a fill
   std::vector<netlist::Direction> preferred_;  ///< per-layer wire direction
+  RouterWork work_;
   std::uint32_t epoch_ = 0;
-  std::uint32_t tree_epoch_ = 0;
+  std::uint32_t dy_ = 1, dl_ = 1;  ///< index offsets of a y / layer step
   std::uint64_t jitter_seed_ = 0;
   double jitter_scale_ = 0.0;
   int tminx_ = 0, tmaxx_ = 0, tminy_ = 0, tmaxy_ = 0;
@@ -381,6 +509,17 @@ class SearcherPool {
   void release(std::unique_ptr<Searcher> s) {
     const std::lock_guard<std::mutex> lock(mu_);
     free_.push_back(std::move(s));
+  }
+
+  /// Summed work of every Searcher; call once all of them are released.
+  RouterWork work() const {
+    RouterWork w;
+    for (const auto& s : free_) {
+      w.searches += s->work().searches;
+      w.heap_pushes += s->work().heap_pushes;
+      w.heap_pops += s->work().heap_pops;
+    }
+    return w;
   }
 
  private:
@@ -446,14 +585,10 @@ void route_net(const RouteGrid& grid, const RouteTask& task, Searcher& s,
 
   // Seed the net tree with the driver terminal's via stack.
   s.tree_reset();
-  std::vector<std::size_t> tree;
-  auto tree_push = [&](std::size_t idx) {
-    if (s.tree_add(idx)) tree.push_back(idx);
-  };
   {
     std::vector<std::size_t> stack_idx;
     stack_nodes(grid, task.terminals[0], ml, stack_idx);
-    for (const auto idx : stack_idx) tree_push(idx);
+    for (const auto idx : stack_idx) s.tree_add(idx);
   }
   if (ml > task.terminals[0].layer) {
     const GridPoint b = grid.snap(task.terminals[0].pos, task.terminals[0].layer);
@@ -480,7 +615,7 @@ void route_net(const RouteGrid& grid, const RouteTask& task, Searcher& s,
 
     // Degenerate: terminal already on the tree.
     if (!s.tree_has(entry_idx)) {
-      const std::size_t hit = s.search(entry_idx, tree, ml);
+      const std::size_t hit = s.search(entry_idx, ml);
       if (hit == Searcher::npos) {
         ok = false;
         continue;
@@ -488,13 +623,13 @@ void route_net(const RouteGrid& grid, const RouteTask& task, Searcher& s,
       const auto path = s.backtrack(hit);
       emit_segments(grid, path, st.route.segments);
       // path runs hit -> ... -> entry (backtrack order); add all to tree.
-      for (const auto nidx : path) tree_push(nidx);
+      for (const auto nidx : path) s.tree_add(nidx);
     }
     // Terminal via stack (pin layer up to the entry layer).
     if (entry.layer > entry_pin.layer) {
       st.route.segments.push_back({entry_pin, entry});
       for (int l = entry_pin.layer; l <= entry.layer; ++l)
-        tree_push(grid.index({entry.x, entry.y, l}));
+        s.tree_add(grid.index({entry.x, entry.y, l}));
     }
   }
 
@@ -506,7 +641,7 @@ void route_net(const RouteGrid& grid, const RouteTask& task, Searcher& s,
   for (const auto& term : task.terminals)
     pin_nodes.push_back(grid.index(grid.snap(term.pos, term.layer)));
   std::sort(pin_nodes.begin(), pin_nodes.end());
-  for (const auto nidx : tree)
+  for (const auto nidx : s.tree())
     if (!std::binary_search(pin_nodes.begin(), pin_nodes.end(), nidx))
       st.nodes.push_back(nidx);
 }
@@ -722,6 +857,7 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
     result.routes[i] = std::move(state[i].route);
   result.stats = collect_stats(grid, result.routes);
   result.stats.overflowed_gcells = cong.count_overflow();
+  result.work = searchers.work();
   return result;
 }
 

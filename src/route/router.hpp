@@ -88,10 +88,21 @@ struct RoutingStats {
   std::uint64_t total_vias() const;
 };
 
+/// How much A* work a route() call did. Effort, not result: kept out of
+/// RoutingStats (and so out of every table and digest), but a pure function
+/// of (tasks, options) like the routes, so it too is identical for every
+/// RouterOptions::jobs.
+struct RouterWork {
+  std::uint64_t searches = 0;     ///< A* searches (one per tree connection)
+  std::uint64_t heap_pushes = 0;  ///< nodes entered into a search's heap
+  std::uint64_t heap_pops = 0;    ///< nodes popped (closed) by a search
+};
+
 struct RoutingResult {
   RouteGrid grid;
   std::vector<NetRoute> routes;  ///< parallel to the task list
   RoutingStats stats;
+  RouterWork work;
 };
 
 /// A routing blockage: lateral wiring is forbidden inside `region` on layers

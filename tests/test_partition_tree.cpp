@@ -223,14 +223,19 @@ TEST(PartitionRouteTest, JobsAndDepthDoNotChangeRoutes) {
 }
 
 // Congested corridor under the tree scheduler: rip-up rounds active, live
-// congestion commits, still jobs-identical.
+// congestion commits, still jobs-identical — routes and A* work counters
+// alike (every search is a pure function of its net and the committed
+// congestion it sees). The indexed heap queues a node at most once per
+// search, so no search pops more nodes than it pushed.
 TEST(PartitionRouteTest, CongestedRoutesIdenticalAcrossJobs) {
   std::vector<RouteTask> tasks;
   for (int i = 0; i < 48; ++i) {
     RouteTask t;
     t.net = static_cast<sm::netlist::NetId>(i);
     const double y = 14.0 + (i % 12) * 2.8;
-    t.terminals = {{{2, y}, 1}, {{54, y}, 1}};
+    // The third pin crosses every row's traffic: two-pin rows alone fit
+    // the corridor in round 0 and would leave the rip-up rounds idle.
+    t.terminals = {{{2, y}, 1}, {{54, y}, 1}, {{28, 56 - y}, 2}};
     tasks.push_back(std::move(t));
   }
   const sm::netlist::MetalStack stack;
@@ -240,9 +245,19 @@ TEST(PartitionRouteTest, CongestedRoutesIdenticalAcrossJobs) {
   opts.jobs = 1;
   const auto serial = Router(opts).route(tasks, die, stack);
   EXPECT_EQ(serial.stats.failed_nets, 0u);
-  opts.jobs = 8;
-  const auto parallel = Router(opts).route(tasks, die, stack);
-  expect_identical_routing(serial, parallel);
+  // Round 0 searches twice per net; rip-up rounds search again.
+  EXPECT_GT(serial.work.searches, 2 * tasks.size());
+  EXPECT_GT(serial.work.heap_pops, serial.work.searches);
+  EXPECT_LE(serial.work.heap_pops, serial.work.heap_pushes);
+  for (const std::size_t jobs : {2u, 4u, 8u}) {
+    opts.jobs = jobs;
+    const auto parallel = Router(opts).route(tasks, die, stack);
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    expect_identical_routing(serial, parallel);
+    EXPECT_EQ(parallel.work.searches, serial.work.searches);
+    EXPECT_EQ(parallel.work.heap_pushes, serial.work.heap_pushes);
+    EXPECT_EQ(parallel.work.heap_pops, serial.work.heap_pops);
+  }
 }
 
 }  // namespace

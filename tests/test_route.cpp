@@ -1,13 +1,19 @@
 // Router tests: grid math, connectivity of produced routes, min-layer
 // (lifting) constraints, via/wirelength accounting, congestion negotiation.
+#include "core/baselines.hpp"
+#include "core/pipeline.hpp"
+#include "core/protect.hpp"
 #include "place/placer.hpp"
 #include "route/router.hpp"
 #include "workloads/generator.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <map>
 #include <set>
+#include <string>
 
 namespace {
 
@@ -266,6 +272,121 @@ TEST_F(RouterTest, FullNetlistRoutes) {
   for (int l = 1; l <= 4; ++l) low += res.stats.wire_um[static_cast<std::size_t>(l)];
   for (int l = 5; l <= 10; ++l) high += res.stats.wire_um[static_cast<std::size_t>(l)];
   EXPECT_GT(low, high);
+}
+
+/// FNV-1a over every routed fact a layout exposes: per route the net id,
+/// success flag, min_layer and each segment's endpoints, then the
+/// aggregate stats (wirelength bit patterns, via counts, failures,
+/// overflow). RoutingResult::work is deliberately not hashed — it counts
+/// effort, not results.
+std::uint64_t route_digest(const RoutingResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  auto mix_point = [&](const GridPoint& g) {
+    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(g.x)));
+    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(g.y)));
+    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(g.layer)));
+  };
+  mix(r.routes.size());
+  for (const auto& route : r.routes) {
+    mix(route.net);
+    mix(route.success ? 1 : 0);
+    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(route.min_layer)));
+    mix(route.segments.size());
+    for (const auto& seg : route.segments) {
+      mix_point(seg.a);
+      mix_point(seg.b);
+    }
+  }
+  for (const double w : r.stats.wire_um) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &w, sizeof bits);
+    mix(bits);
+  }
+  for (const auto v : r.stats.vias) mix(v);
+  mix(r.stats.failed_nets);
+  mix(r.stats.overflowed_gcells);
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// Exact-route regression: the digests below were recorded from the lazy
+// binary-heap A* that preceded the indexed-heap search, so any change to
+// the search's pop order, its tie-breaking or its cost rounding shows up
+// here as a digest mismatch, on four rigs that together exercise plain
+// routing, lifted nets with BEOL pair wires, blockages and multi-pass
+// negotiation.
+TEST(RouteDigestTest, RoutesMatchRecordedDigests) {
+  using namespace sm::core;
+  CellLibrary lib{6};
+  FlowOptions flow;
+  flow.lift_layer = 6;
+  flow.router.passes = 2;
+  flow.placer.detailed_passes = 1;
+
+  std::map<std::string, std::uint64_t> got;
+  {
+    const auto nl = sm::workloads::generate(
+        lib, sm::workloads::iscas85_profile("c880"), 2);
+    const auto pl = sm::place::Placer().place(nl);
+    RouterOptions opts;
+    opts.gcell_um = 1.4;
+    got["c880_unprotected"] = route_digest(
+        Router(opts).route(make_tasks(nl, pl), pl.floorplan.die, lib.metal()));
+  }
+  const auto c432 = sm::workloads::generate(
+      lib, sm::workloads::iscas85_profile("c432"), 3);
+  {
+    RandomizeOptions r;
+    r.seed = 5;
+    r.check_patterns = 2048;
+    const auto design = protect(c432, r, flow);
+    ASSERT_GT(design.layout.tasks.size(), design.layout.num_net_tasks)
+        << "the rig must route BEOL pair wires";
+    got["c432_protect"] = route_digest(design.layout.routing);
+  }
+  {
+    const auto placed = place_design(c432, flow);
+    const double size = placed.placement.floorplan.die.width() / 6.0;
+    const auto layout =
+        layout_routing_blockage(c432, flow, placed, 12, size, 4, 7);
+    got["c432_route_blockage"] = route_digest(layout.routing);
+  }
+  {
+    std::vector<RouteTask> tasks;
+    for (int i = 0; i < 48; ++i) {
+      RouteTask t;
+      t.net = static_cast<sm::netlist::NetId>(i);
+      const double y = 14.0 + (i % 12) * 2.8;
+      t.terminals = {{{2, y}, 1}, {{54, y}, 1}, {{28, 56 - y}, 2}};
+      tasks.push_back(std::move(t));
+    }
+    RouterOptions opts;
+    opts.passes = 6;
+    const auto res =
+        Router(opts).route(tasks, Rect{{0, 0}, {56, 56}}, MetalStack{});
+    got["congested_multipass"] = route_digest(res);
+  }
+
+  const std::map<std::string, std::uint64_t> want = {
+      {"c880_unprotected", 0x43284c40d214b835ULL},
+      {"c432_protect", 0x7f0b3d56e810ab19ULL},
+      {"c432_route_blockage", 0x50d54f2c23be7f57ULL},
+      {"congested_multipass", 0x70a00e5acbd870bfULL},
+  };
+  for (const auto& [rig, digest] : want)
+    EXPECT_EQ(hex(got.at(rig)), hex(digest)) << rig;
 }
 
 }  // namespace
