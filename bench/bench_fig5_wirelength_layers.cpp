@@ -28,8 +28,9 @@ int run(int argc, char** argv) {
     const auto design =
         core::protect(nl, sweep::task_randomize(suite.seed), flow);
     const auto nets = design.ledger.protected_nets();
-    const auto original = core::layout_original(nl, flow);
-    const auto lifted = core::layout_naive_lift(nl, nets, flow);
+    const auto placed = core::place_design(nl, flow);
+    const auto original = core::route_design(nl, placed, flow);
+    const auto lifted = core::layout_naive_lift(nl, placed, nets, flow);
 
     auto row = [&](const char* label, const route::RoutingResult& routing) {
       const auto share =

@@ -34,8 +34,9 @@ int run(int argc, char** argv) {
     const auto design =
         core::protect(nl, sweep::task_randomize(suite.seed), flow);
     const auto nets = design.ledger.protected_nets();
-    const auto original = core::layout_original(nl, flow);
-    const auto lifted = core::layout_naive_lift(nl, nets, flow);
+    const auto placed = core::place_design(nl, flow);
+    const auto original = core::route_design(nl, placed, flow);
+    const auto lifted = core::layout_naive_lift(nl, placed, nets, flow);
 
     std::vector<std::string> row{name + " (" +
                                      util::Table::count(nl.num_nets()) +

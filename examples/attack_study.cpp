@@ -8,6 +8,7 @@
 #include "attack/proximity.hpp"
 #include "core/protect.hpp"
 #include "core/split.hpp"
+#include "sweep/sweep.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 #include "workloads/generator.hpp"
@@ -20,12 +21,13 @@ int main(int argc, char** argv) {
   const std::string bench = args.get("bench", "c1355");
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
 
-  netlist::CellLibrary lib{6};
+  // The sweep's recipe for an ISCAS-85 benchmark (the scale argument
+  // applies to superblue only).
+  constexpr auto kIscas = sweep::Workload::Iscas85;
+  const auto flow = sweep::task_flow(bench, kIscas, seed, 1.0);
+  netlist::CellLibrary lib{flow.lift_layer};
   const auto nl =
-      workloads::generate(lib, workloads::iscas85_profile(bench), seed);
-  core::FlowOptions flow;
-  flow.placer.target_utilization = 0.45;
-  flow.seed = seed;
+      workloads::generate(lib, sweep::task_spec(bench, kIscas, 1.0), seed);
   const auto layout = core::layout_original(nl, flow);
 
   struct Variant {
@@ -80,9 +82,7 @@ int main(int argc, char** argv) {
   std::fputs(table.render().c_str(), stdout);
 
   // The same attack against the proposed defense, for contrast.
-  core::RandomizeOptions rand_opts;
-  rand_opts.seed = seed;
-  const auto design = core::protect(nl, rand_opts, flow);
+  const auto design = core::protect(nl, sweep::task_randomize(seed), flow);
   const auto view = core::split_layout(
       design.erroneous, design.layout.placement, design.layout.routing,
       design.layout.tasks, design.layout.num_net_tasks, 4);

@@ -6,6 +6,7 @@
 #include "attack/proximity.hpp"
 #include "core/protect.hpp"
 #include "core/split.hpp"
+#include "sweep/sweep.hpp"
 #include "util/args.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -19,12 +20,13 @@ int main(int argc, char** argv) {
   const std::string bench = args.get("bench", "c2670");
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
-  netlist::CellLibrary lib{6};
+  // The sweep's recipe for an ISCAS-85 benchmark (the scale argument
+  // applies to superblue only).
+  constexpr auto kIscas = sweep::Workload::Iscas85;
+  const auto flow = sweep::task_flow(bench, kIscas, seed, 1.0);
+  netlist::CellLibrary lib{flow.lift_layer};
   const auto nl =
-      workloads::generate(lib, workloads::iscas85_profile(bench), seed);
-  core::FlowOptions flow;
-  flow.placer.target_utilization = 0.45;
-  flow.seed = seed;
+      workloads::generate(lib, sweep::task_spec(bench, kIscas, 1.0), seed);
   const auto original = core::layout_original(nl, flow);
   std::printf("%s baseline: power %.1f uW, delay %.0f ps\n\n", bench.c_str(),
               original.ppa.total_power_uw(), original.ppa.critical_path_ps);
@@ -32,8 +34,7 @@ int main(int argc, char** argv) {
   util::Table table({"PPA budget", "Swaps", "dPower", "dDelay",
                      "CCR(prot) M3", "CCR(prot) M5", "OER", "HD"});
   for (const double budget : {5.0, 10.0, 20.0, 40.0}) {
-    core::RandomizeOptions r;
-    r.seed = seed;
+    auto r = sweep::task_randomize(seed);
     r.max_swaps = std::max<std::size_t>(4, nl.num_gates() / 80);
     const auto design =
         core::protect_with_budget(nl, r, flow, original.ppa, budget, 4);

@@ -8,6 +8,7 @@
 #include "core/libgen.hpp"
 #include "core/protect.hpp"
 #include "netlist/verilog.hpp"
+#include "sweep/sweep.hpp"
 #include "util/args.hpp"
 #include "util/stats.hpp"
 #include "workloads/generator.hpp"
@@ -23,14 +24,13 @@ int main(int argc, char** argv) {
   const std::string outdir = args.get("outdir", "/tmp");
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
-  netlist::CellLibrary lib{6};
+  // The sweep's recipe for an ISCAS-85 benchmark (the scale argument
+  // applies to superblue only).
+  constexpr auto kIscas = sweep::Workload::Iscas85;
+  const auto flow = sweep::task_flow(bench, kIscas, seed, 1.0);
+  netlist::CellLibrary lib{flow.lift_layer};
   const auto nl =
-      workloads::generate(lib, workloads::iscas85_profile(bench), seed);
-
-  core::FlowOptions flow;
-  flow.lift_layer = 6;
-  flow.placer.target_utilization = 0.45;
-  flow.seed = seed;
+      workloads::generate(lib, sweep::task_spec(bench, kIscas, 1.0), seed);
 
   const auto original = core::layout_original(nl, flow);
   std::printf("original %s: power %.1f uW, delay %.0f ps, wire %.0f um\n",
@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
 
   // The Fig. 2 loop: randomize, place, route, evaluate; repeat while the
   // PPA budget (default 20% for ISCAS-85) is not expended.
-  core::RandomizeOptions rand_opts;
-  rand_opts.seed = seed;
+  auto rand_opts = sweep::task_randomize(seed);
   rand_opts.max_swaps = std::max<std::size_t>(8, nl.num_gates() / 40);
   const auto design =
       core::protect_with_budget(nl, rand_opts, flow, original.ppa, budget, 4);

@@ -9,6 +9,7 @@
 #include "attack/proximity.hpp"
 #include "core/protect.hpp"
 #include "core/split.hpp"
+#include "sweep/sweep.hpp"
 #include "util/args.hpp"
 #include "workloads/generator.hpp"
 
@@ -20,22 +21,23 @@ int main(int argc, char** argv) {
   const std::string bench = args.get("bench", "c880");
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
-  // A Nangate-45-like library with correction-cell pins in M6.
-  netlist::CellLibrary lib{6};
+  // The sweep's recipe for an ISCAS-85 benchmark (the scale argument
+  // applies to superblue only): generator spec, flow tuning with
+  // correction-cell pins in M6, and the randomization target.
+  constexpr auto kIscas = sweep::Workload::Iscas85;
+  const auto flow = sweep::task_flow(bench, kIscas, seed, 1.0);
+
+  // A Nangate-45-like library with correction-cell pins on the lift layer.
+  netlist::CellLibrary lib{flow.lift_layer};
   const auto nl =
-      workloads::generate(lib, workloads::iscas85_profile(bench), seed);
+      workloads::generate(lib, sweep::task_spec(bench, kIscas, 1.0), seed);
   std::printf("%s-like netlist: %zu gates, %zu nets, %zu PIs, %zu POs\n",
               bench.c_str(), nl.num_gates(), nl.num_nets(),
               nl.primary_inputs().size(), nl.primary_outputs().size());
 
   // Protect: randomize until OER ~ 100%, place & route the erroneous
   // netlist, embed correction cells, lift, restore through the BEOL.
-  core::FlowOptions flow;
-  flow.lift_layer = 6;
-  flow.placer.target_utilization = 0.45;
-  core::RandomizeOptions rand_opts;
-  rand_opts.seed = seed;
-  const auto design = core::protect(nl, rand_opts, flow);
+  const auto design = core::protect(nl, sweep::task_randomize(seed), flow);
   std::printf(
       "protected: %zu swaps, erroneous-netlist OER %.1f%% / HD %.1f%%, "
       "restoration %s\n",

@@ -9,6 +9,7 @@
 #include "core/protect.hpp"
 #include "core/split.hpp"
 #include "metrics/report.hpp"
+#include "sweep/sweep.hpp"
 #include "util/args.hpp"
 #include "workloads/generator.hpp"
 
@@ -21,21 +22,18 @@ int main(int argc, char** argv) {
   const double scale = args.get_double("scale", 0.01);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
-  const auto spec = workloads::superblue_profile(bench, scale);
-  netlist::CellLibrary lib{8};  // correction pins in M8
-  const auto nl = workloads::generate(lib, spec, seed);
+  // The sweep's recipe for a superblue clone: correction pins in M8 and
+  // the published utilization derated x0.5.
+  constexpr auto kSuperblue = sweep::Workload::Superblue;
+  const auto flow = sweep::task_flow(bench, kSuperblue, seed, scale);
+  netlist::CellLibrary lib{flow.lift_layer};
+  const auto nl = workloads::generate(
+      lib, sweep::task_spec(bench, kSuperblue, scale), seed);
   std::printf("%s clone at scale %.3f: %zu gates (%.0f%% published size)\n",
               bench.c_str(), scale, nl.num_gates(), 100 * scale);
 
-  core::FlowOptions flow;
-  flow.lift_layer = 8;
-  flow.placer.target_utilization = spec.utilization * 0.5;
-  flow.seed = seed;
-
   const auto original = core::layout_original(nl, flow);
-  core::RandomizeOptions rand_opts;
-  rand_opts.seed = seed;
-  const auto design = core::protect(nl, rand_opts, flow);
+  const auto design = core::protect(nl, sweep::task_randomize(seed), flow);
   std::printf("protected: %zu swaps, OER %.1f%%, restoration %s\n",
               design.ledger.entries.size(), 100 * design.oer,
               design.restored_ok ? "ok" : "FAILED");

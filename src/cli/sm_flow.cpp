@@ -11,7 +11,7 @@
 //   sm_flow report   — protected vs unprotected side-by-side: security and
 //                      PPA in one table (the quickstart, tabulated).
 //   sm_flow sweep    — parallel attack sweep over {benchmarks × seeds ×
-//                      split layers × defenses} through util::ThreadPool;
+//                      split layers × defenses} through util::parallel_for;
 //                      bit-identical metrics for any --jobs value. With
 //                      --store the sweep appends every completed cell to an
 //                      append-only JSONL log (crash-safe resume via

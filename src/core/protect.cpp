@@ -23,11 +23,14 @@ LayoutResult layout_original(const Netlist& nl, const FlowOptions& opts) {
 }
 
 NaiveLiftDesign layout_naive_lift(const Netlist& nl,
+                                  const PlacedDesign& placed,
                                   const std::vector<NetId>& nets,
                                   const FlowOptions& opts) {
+  if (placed.sized)
+    throw std::invalid_argument(
+        "layout_naive_lift: placement must be of the unbuffered netlist");
   NaiveLiftDesign out;
-  place::Placer placer(opts.placer);
-  out.layout.placement = placer.place(nl);
+  out.layout.placement = placed.placement;
   out.plan =
       plan_naive_lift(nl, nets, out.layout.placement, opts.lift_layer);
 

@@ -68,13 +68,20 @@ struct LayoutResult {
 LayoutResult layout_original(const netlist::Netlist& nl,
                              const FlowOptions& opts);
 
+struct PlacedDesign;  // core/pipeline.hpp
+
 /// Naive-lifting baseline: same lifting mechanics over `nets` (typically the
 /// protected nets of a matching protect() run), no erroneous connections.
+/// `placed` must be a placement of `nl` itself, unbuffered (place_design
+/// under FlowOptions::buffering = false) — the same stage-1 product
+/// layout_original routes, so one placement serves both comparison layouts.
+/// Throws std::invalid_argument for a repeater-sized placement.
 struct NaiveLiftDesign {
   LayoutResult layout;
   CorrectionPlan plan;
 };
 NaiveLiftDesign layout_naive_lift(const netlist::Netlist& nl,
+                                  const PlacedDesign& placed,
                                   const std::vector<netlist::NetId>& nets,
                                   const FlowOptions& opts);
 

@@ -8,7 +8,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 namespace sm::route {
@@ -673,12 +672,7 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
     return task_span(tasks[a]) < task_span(tasks[b]);
   });
 
-  // One pool for every round's re-route batch (fresh-pool-per-round would
-  // violate thread_pool.hpp's hot-loop guidance). Serial when jobs
-  // resolves to 1.
   const std::size_t jobs = util::resolve_jobs(opts_.jobs, tasks.size());
-  std::optional<util::ThreadPool> pool;
-  if (jobs > 1 && tasks.size() > 1) pool.emplace(jobs);
   SearcherPool searchers(grid, stack, opts_, cong);
 
   // Per-net clipped search windows (terminal bbox + bbox_margin, a
@@ -704,9 +698,11 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
   }
 
   // Tree depth at which parallel tasks fan out: deep enough for ~4 tasks
-  // per worker, clamped to the tree's own depth. Pure scheduling: any
-  // depth yields the same routes (see run_subtree's order argument below).
+  // per worker, clamped to the tree's own depth; 0 at one worker, so the
+  // whole tree is one inline post-order task. Pure scheduling: any depth
+  // yields the same routes (see run_subtree's order argument below).
   auto spawn_depth = [&](int tree_depth) {
+    if (jobs == 1) return 0;
     int d = 0;
     while (d < tree_depth && (std::size_t{1} << d) < 4 * jobs) ++d;
     return d;
@@ -764,34 +760,22 @@ RoutingResult Router::route(const std::vector<RouteTask>& tasks,
       }
     };
 
-    if (!pool) {
-      auto s = searchers.acquire();
-      run_subtree(0, *s);
-      searchers.release(std::move(s));
-    } else {
-      const int fan = spawn_depth(tree.depth());
-      // Phase 1: every maximal subtree rooted at the fan-out depth is one
-      // sequential task; the tasks run concurrently (disjoint regions).
-      {
-        const auto& ids = tree.level(fan);
-        pool->parallel_for(ids.size(), [&](std::size_t k) {
-          auto s = searchers.acquire();
+    // One batch per level, bottom-up from the fan-out depth. There every
+    // maximal subtree is one sequential task, and the tasks run
+    // concurrently (disjoint regions). Above it each node is one task; its
+    // children live at the next deeper level, so they are committed — the
+    // parallel_for join sequences the batches.
+    const int fan = spawn_depth(tree.depth());
+    for (int level = fan; level >= 0; --level) {
+      const auto& ids = tree.level(level);
+      util::parallel_for(jobs, ids.size(), [&](std::size_t k) {
+        auto s = searchers.acquire();
+        if (level == fan)
           run_subtree(ids[k], *s);
-          searchers.release(std::move(s));
-        });
-      }
-      // Phase 2: the remaining levels bottom-up, one parallel batch per
-      // level. A node's children live at the next deeper level (phase 1 or
-      // an earlier batch), so they are committed — and the parallel_for
-      // join sequences the batches.
-      for (int level = fan - 1; level >= 0; --level) {
-        const auto& ids = tree.level(level);
-        pool->parallel_for(ids.size(), [&](std::size_t k) {
-          auto s = searchers.acquire();
+        else
           run_node(tree.nodes()[static_cast<std::size_t>(ids[k])], *s);
-          searchers.release(std::move(s));
-        });
-      }
+        searchers.release(std::move(s));
+      });
     }
 
     // Clipping can make a routable net fail (a forced detour past the

@@ -15,9 +15,9 @@
 // it through via stacks, exactly like the pins of the custom cells.
 //
 // Negotiation is round-based: every round selects the nets to rip up
-// (greedy keep-up-to-capacity in a fixed net order) and re-routes them over
-// a util::ThreadPool, scheduled by a ParaDRo-style spatial partition tree
-// over the ripped nets' search windows (route/partition_tree.hpp). Each
+// (greedy keep-up-to-capacity in a fixed net order) and re-routes them
+// through util::parallel_for, scheduled by a ParaDRo-style spatial partition
+// tree over the ripped nets' search windows (route/partition_tree.hpp). Each
 // net's A* is clipped to its terminal bbox inflated by bbox_margin; the net
 // lands at the deepest tree node whose region contains that window. Sibling
 // subtrees route *concurrently against live congestion* — a net only
@@ -30,7 +30,10 @@
 // same-node or ancestor/descendant pairs, and the tree order fixes both —
 // so routes are bit-identical for every `jobs`, and so for every depth at
 // which the parallel tasks fan out (the tree itself is a pure function of
-// nets + grid).
+// nets + grid). Every round runs one schedule: the subtrees at the fan-out
+// depth as one fork-join batch, then each shallower level as one more. At
+// one worker that depth is 0, so the whole tree is a single inline
+// post-order task and no thread starts.
 //
 // Each net draws its cost-tie jitter from its own util::task_seed stream
 // and leases an epoch-stamped per-worker Searcher, so which thread routes
@@ -129,9 +132,10 @@ struct RouterOptions {
   /// = 1.0) — and route quality is unaffected. 0 disables it.
   double tie_jitter = 0.05;
   std::uint64_t seed = 1;
-  /// Worker threads for each round's net re-routes; 0 = hardware
-  /// concurrency. The partition tree's parallel tasks fan out deep enough
-  /// for ~4 per worker. Routes are bit-identical for every value.
+  /// Workers for each round's net re-routes; 0 = hardware concurrency.
+  /// The partition tree's parallel tasks fan out deep enough for ~4 per
+  /// worker (depth 0, one inline task, at 1). Routes are bit-identical
+  /// for every value.
   std::size_t jobs = 1;
   /// Gcells added on every side of a net's terminal bbox to form its
   /// clipped search window (detour headroom). Affects routes (it is part

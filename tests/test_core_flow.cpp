@@ -177,11 +177,14 @@ TEST_F(CoreFlowTest, NaiveLiftKeepsFunctionAndLifts) {
   const Netlist original = bench();
   const auto design = protect(original, rand_opts(), flow());
   const auto nets = design.ledger.protected_nets();
-  const auto naive = layout_naive_lift(original, nets, flow());
+  // One placement serves both comparison layouts.
+  const PlacedDesign placed = place_design(original, flow());
+  const auto naive = layout_naive_lift(original, placed, nets, flow());
   EXPECT_EQ(naive.plan.cells.size(), nets.size());
   EXPECT_EQ(naive.layout.routing.stats.failed_nets, 0u);
+  EXPECT_EQ(naive.layout.placement.pos, placed.placement.pos);
   // Lifting adds vias in every boundary below the lift layer vs original.
-  const auto orig = layout_original(original, flow());
+  const auto orig = route_design(original, placed, flow());
   for (int l = 1; l < 6; ++l)
     EXPECT_GT(naive.layout.routing.stats.vias[static_cast<std::size_t>(l)],
               orig.routing.stats.vias[static_cast<std::size_t>(l)]);
@@ -257,6 +260,10 @@ TEST_F(CoreFlowTest, BaselinesKeepTheSizedNetlistOfABufferedPlacement) {
         "placement perturbation");
   check(layout_routing_blockage(original, opts, placed, 3, 8.0, 4, 3),
         "routing blockage");
+  // Naive lifting models a lift cell on the original netlist's own nets:
+  // a repeater-sized placement is refused rather than silently mismatched.
+  EXPECT_THROW(layout_naive_lift(original, placed, {}, opts),
+               std::invalid_argument);
 }
 
 TEST_F(CoreFlowTest, BlockagesPushWiringUp) {

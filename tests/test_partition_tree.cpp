@@ -249,7 +249,8 @@ TEST(PartitionRouteTest, CongestedRoutesIdenticalAcrossJobs) {
   EXPECT_GT(serial.work.searches, 2 * tasks.size());
   EXPECT_GT(serial.work.heap_pops, serial.work.searches);
   EXPECT_LE(serial.work.heap_pops, serial.work.heap_pushes);
-  for (const std::size_t jobs : {2u, 4u, 8u}) {
+  // jobs = 1 again: the one-inline-task path must also agree with itself.
+  for (const std::size_t jobs : {1u, 2u, 4u, 8u}) {
     opts.jobs = jobs;
     const auto parallel = Router(opts).route(tasks, die, stack);
     SCOPED_TRACE("jobs=" + std::to_string(jobs));

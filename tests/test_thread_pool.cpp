@@ -1,7 +1,6 @@
-// Unit tests for util::ThreadPool / util::parallel_for — the exactly-once
-// contract, pool reuse, exception propagation (lowest failing index wins,
-// remaining tasks still run), and thread-count-independent results via
-// util::task_seed.
+// Unit tests for util::parallel_for — the exactly-once contract, nested
+// calls, exception propagation (lowest failing index wins, remaining tasks
+// still run), and thread-count-independent results via util::task_seed.
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -15,39 +14,22 @@ namespace {
 
 using namespace sm::util;
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> counts(kN);
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  pool.parallel_for(kN, [&](std::size_t i) { counts[i].fetch_add(1); });
+  parallel_for(4, kN, [&](std::size_t i) { counts[i].fetch_add(1); });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(counts[i].load(), 1);
 }
 
-TEST(ThreadPool, ReusableAcrossBatches) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  for (int batch = 0; batch < 5; ++batch)
-    pool.parallel_for(100, [&](std::size_t) { total.fetch_add(1); });
-  EXPECT_EQ(total.load(), 500);
+TEST(ParallelFor, ZeroTasksIsANoop) {
+  parallel_for(4, 0, [&](std::size_t) { FAIL() << "must not run"; });
 }
 
-TEST(ThreadPool, ZeroTasksIsANoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [&](std::size_t) { FAIL() << "must not run"; });
-}
-
-TEST(ThreadPool, ZeroThreadsMeansHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, LowestFailingIndexWinsAndEveryTaskStillRuns) {
+TEST(ParallelFor, LowestFailingIndexWinsAndEveryTaskStillRuns) {
   constexpr std::size_t kN = 600;
   std::vector<std::atomic<int>> counts(kN);
-  ThreadPool pool(4);
   try {
-    pool.parallel_for(kN, [&](std::size_t i) {
+    parallel_for(4, kN, [&](std::size_t i) {
       counts[i].fetch_add(1);
       if (i == 3 || i == 7 || i == 500)
         throw std::runtime_error(std::to_string(i));
@@ -57,6 +39,20 @@ TEST(ThreadPool, LowestFailingIndexWinsAndEveryTaskStillRuns) {
     EXPECT_STREQ(e.what(), "3");
   }
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(counts[i].load(), 1);
+}
+
+// A sweep task that routes with jobs > 1 forks a batch from inside a batch:
+// the inner call starts and joins its own workers, so every (outer, inner)
+// pair runs exactly once.
+TEST(ParallelFor, NestedCallsRunEveryIndex) {
+  constexpr std::size_t kOuter = 2;
+  constexpr std::size_t kInner = 50;
+  std::vector<std::atomic<int>> counts(kOuter * kInner);
+  parallel_for(2, kOuter, [&](std::size_t o) {
+    parallel_for(3, kInner,
+                 [&](std::size_t i) { counts[o * kInner + i].fetch_add(1); });
+  });
+  for (auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 
 TEST(ParallelFor, SerialPathKeepsTheSameExceptionRule) {
